@@ -27,13 +27,17 @@ from .fixtures import (
     fixture_document,
     object_from_document,
 )
-from .fpgroups import FiniteGroup, finite_quotient, rack_finite_quotient
+from .fpgroups import DEFAULT_COSET_CAP, FiniteGroup, finite_quotient, rack_finite_quotient
 from .verdicts import analyze, sd_dichotomy
 
 EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 3
+
+
+class _UsageError(Exception):
+    """An option value that parses but is out of range (exit EXIT_USAGE)."""
 
 
 def render_document(doc: dict) -> str:
@@ -50,21 +54,30 @@ def parse_document(text: str) -> dict:
 def _load_document(path: str) -> dict:
     p = Path(path)
     if p.exists():
-        return parse_document(p.read_text())
+        try:
+            text = p.read_text()
+        except OSError as exc:
+            raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from exc
+        return parse_document(text)
     if path in catalog():
         return fixture_document(path)
     raise UnknownName(path)
 
 
 def _coset_cap(args) -> int:
-    if getattr(args, "coset_cap", None):
-        return args.coset_cap
-    env = os.environ.get("YBE_COSET_CAP")
-    if env:
-        return int(env)
-    from .fpgroups import DEFAULT_COSET_CAP
-
-    return DEFAULT_COSET_CAP
+    """--coset-cap, else YBE_COSET_CAP, else the default; must be positive."""
+    cap = args.coset_cap
+    if cap is None:
+        env = os.environ.get("YBE_COSET_CAP")
+        if not env:
+            return DEFAULT_COSET_CAP
+        try:
+            cap = int(env)
+        except ValueError:
+            raise _UsageError(f"YBE_COSET_CAP must be an integer, got {env!r}") from None
+    if cap <= 0:
+        raise _UsageError(f"the coset cap must be a positive integer, got {cap}")
+    return cap
 
 
 def _cycle_notation(p: perm.Perm, labels: list[str]) -> str:
@@ -118,12 +131,13 @@ def _solution_of(obj: Union[Solution, Rack]) -> Solution:
 
 
 def cmd_analyze(args) -> int:
+    cap = _coset_cap(args)
     doc = _load_document(args.path)
     obj = object_from_document(doc)
-    report = analyze(_solution_of(obj))
+    report = analyze(_solution_of(obj), cap)
     payload = report.to_dict()
     if isinstance(obj, Rack):
-        verdict = sd_dichotomy(obj)
+        verdict = sd_dichotomy(obj, cap)
         payload["rack_dichotomy"] = verdict.verdict
     if args.json:
         print(json.dumps(payload, sort_keys=True, indent=2, default=list))
@@ -139,9 +153,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    cap = _coset_cap(args)
     doc = _load_document(args.path)
     obj = object_from_document(doc)
-    cap = _coset_cap(args)
     if isinstance(obj, Rack):
         fg = rack_finite_quotient(obj, "right", coset_cap=cap)
         iota = fg.gen_images
@@ -259,6 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("analyze", help="full analysis report")
     p.add_argument("path")
     p.add_argument("--json", action="store_true")
+    p.add_argument("--coset-cap", type=int, default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("quotient", help="finite quotient of the structure group")
@@ -297,6 +312,9 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except _UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except (CosetLimitExceeded, SizeTooLarge) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

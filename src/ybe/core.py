@@ -10,7 +10,6 @@ Elements are always 0-based integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional, Sequence
 
 from . import perm
@@ -231,43 +230,6 @@ def is_biquandle(s: Solution) -> bool:
     return all(s.r(t[x], x) == (t[x], x) for x in range(s.n))
 
 
-def _is_decomposable(s: Solution) -> bool:
-    """Test whether X splits as Y | Z with r restricting to Y x Y and Z x Z.
-
-    Exhaustive over all bipartitions for small n; for larger sets only the
-    splits coarsening the orbit partition are tried (sufficient whenever a
-    decomposition exists along invariant subsets).
-    """
-    n = s.n
-
-    def closed(block: set[int]) -> bool:
-        for x in block:
-            for y in block:
-                u, v = s.r(x, y)
-                if u not in block or v not in block:
-                    return False
-        return True
-
-    if n <= 16:
-        # enumerate subsets containing element 0 by masking the other n-1 bits
-        for mask in range(1 << (n - 1)):
-            y_set = {0} | {i + 1 for i in range(n - 1) if (mask >> i) & 1}
-            if len(y_set) == n:
-                continue
-            z_set = set(range(n)) - y_set
-            if closed(y_set) and closed(z_set):
-                return True
-        return False
-    orbits = solution_orbits(s)
-    k = len(orbits)
-    for mask in range(1, (1 << k) - 1):
-        y_set = {x for i in range(k) if (mask >> i) & 1 for x in orbits[i]}
-        z_set = set(range(n)) - y_set
-        if closed(y_set) and closed(z_set):
-            return True
-    return False
-
-
 def classify(s: Solution) -> SolutionClass:
     n = s.n
     ident = perm.identity(n)
@@ -280,11 +242,10 @@ def classify(s: Solution) -> SolutionClass:
         biquandle=bq,
         self_distributive_right=sd_right,
         self_distributive_left=sd_left,
-        decomposable=_is_decomposable(s),
+        # r restricts to Y x Y and Z x Z for X = Y | Z exactly when Y is a
+        # union of orbits (for y in Y, sigma_y and tau_y map the finite Y
+        # into, hence onto, itself, so they preserve Z): a split needs k_r >= 2
+        decomposable=len(solution_orbits(s)) >= 2,
         t_map=t_map_of(s) if bq else None,
     )
 
-
-@lru_cache(maxsize=None)
-def _classify_cached(s: Solution) -> SolutionClass:
-    return classify(s)

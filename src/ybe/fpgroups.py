@@ -10,6 +10,7 @@ import random
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import Callable, Sequence
 
 from . import perm
 from .core import Rack, Solution, is_biquandle, sd_solutions, verify_solution
@@ -55,9 +56,11 @@ def _snf_diagonalize(mat: list[list[int]], ncols: int) -> tuple[list[int], list[
 
     Returns (diagonal entries, V) where V is the accumulated column
     transform: for the input A there are unimodular U, V with U A V diagonal.
-    The diagonal is non-negative but not yet a divisibility chain.
+    The diagonal is non-negative but not yet a divisibility chain.  Duplicate
+    and zero rows are dropped first; they change neither the row lattice nor
+    the cokernel.
     """
-    a = [row[:] for row in mat]
+    a = [list(row) for row in dict.fromkeys(map(tuple, mat)) if any(row)]
     m = len(a)
     v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     diag = []
@@ -138,18 +141,29 @@ def smith_invariants(mat: list[list[int]], ncols: int) -> tuple[int, tuple[int, 
     return free_rank, tuple(x for x in chain if x > 1)
 
 
+def row_lattice_membership(mat: list[list[int]], ncols: int) -> Callable[[Sequence[int]], bool]:
+    """Membership test for the integer row span of mat, from a single SNF.
+
+    With U A V = diag(d), a vector lies in the row span exactly when every
+    entry of vec.V is divisible by the matching d_j (d_j = 0 past the
+    diagonal); V does not depend on vec, so every query reuses it.
+    """
+    diag, v = _snf_diagonalize(mat, ncols)
+    divisors = diag + [0] * (ncols - len(diag))
+
+    def contains(vec: Sequence[int]) -> bool:
+        for j, d in enumerate(divisors):
+            w = sum(vec[i] * v[i][j] for i in range(ncols))
+            if (w % d if d else w) != 0:
+                return False
+        return True
+
+    return contains
+
+
 def in_row_lattice(mat: list[list[int]], vec: list[int]) -> bool:
     """Whether vec lies in the integer row span of mat."""
-    ncols = len(vec)
-    diag, v = _snf_diagonalize(mat, ncols)
-    w = [sum(vec[i] * v[i][j] for i in range(ncols)) for j in range(ncols)]
-    for j in range(ncols):
-        if j < len(diag) and diag[j] != 0:
-            if w[j] % diag[j] != 0:
-                return False
-        elif w[j] != 0:
-            return False
-    return True
+    return row_lattice_membership(mat, len(vec))(vec)
 
 
 def _exponent_matrix(p: Presentation) -> list[list[int]]:
@@ -288,11 +302,12 @@ def coset_enumeration(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> list[per
         assert perm.is_perm(tuple(images), len(live))
         actions.append(tuple(images))
     # final consistency check: every relator closes at every coset
+    sym_actions = [act for a in actions for act in (a, perm.inverse(a))]
     for w in rel_syms:
         for c in range(len(live)):
             cur = c
             for x in w:
-                cur = actions[x // 2][cur] if x % 2 == 0 else perm.inverse(actions[x // 2])[cur]
+                cur = sym_actions[x][cur]
             assert cur == c
     return actions
 
@@ -316,8 +331,12 @@ class FiniteGroup:
             assert self.mult[self.mult[a][b]][c] == self.mult[a][self.mult[b][c]]
         assert all(0 in row for row in self.mult)  # inverses exist
 
+    @cached_property
+    def _inverses(self) -> tuple[int, ...]:
+        return tuple(row.index(0) for row in self.mult)
+
     def inv(self, a: int) -> int:
-        return self.mult[a].index(0)
+        return self._inverses[a]
 
     def element_order(self, a: int) -> int:
         k, cur = 1, a
@@ -558,9 +577,11 @@ def _rack_power(rk: Rack, x: int) -> int:
     return o if o >= 2 else 2
 
 
-def is_injective(s: Solution) -> tuple[bool, tuple[tuple[int, ...], ...]]:
+def is_injective(
+    s: Solution, coset_cap: int = DEFAULT_COSET_CAP
+) -> tuple[bool, tuple[tuple[int, ...], ...]]:
     """Whether the generator map into the finite quotient is injective."""
-    _, iota = finite_quotient(s)
+    _, iota = finite_quotient(s, coset_cap)
     blocks: dict[int, list[int]] = {}
     for x in range(s.n):
         blocks.setdefault(iota[x], []).append(x)

@@ -18,11 +18,12 @@ from .derived import mp_level as mp_tower
 from .derived import structure_racks
 from .errors import NotInvolutive
 from .fpgroups import (
+    DEFAULT_COSET_CAP,
     _exponent_matrix,
     abelianization,
     finite_quotient,
-    in_row_lattice,
     is_injective,
+    row_lattice_membership,
     structure_presentation,
 )
 from .words import degrees
@@ -32,8 +33,9 @@ from .words import degrees
 class OrderabilityVerdict:
     bi_orderable: bool
     # ("free_abelian", rank, orbit_of) when YES;
-    # ("torsion", x, y, order) / ("noncommuting", x, y) /
-    # ("rank_mismatch", k_r, K_r) / ("ab_torsion", factors) when NO.
+    # ("quotient_torsion", x, y, order) / ("ab_torsion", factors) /
+    # ("rank_mismatch", k_r, K_r) / ("noncommuting", x, y) /
+    # ("not_free_abelian",) when NO.
     certificate: Optional[tuple]
 
 
@@ -79,7 +81,7 @@ class AnalysisReport:
         return asdict(self)
 
 
-def biorderability(s: Solution) -> OrderabilityVerdict:
+def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> OrderabilityVerdict:
     """Whether the structure group is bi-orderable, i.e. free abelian.
 
     The group is free abelian exactly when the finite quotient is abelian,
@@ -91,7 +93,7 @@ def biorderability(s: Solution) -> OrderabilityVerdict:
     k = len(orbits)
     K = len(rack_orbits(structure_racks(s).right))
     ab = abelianization(structure_presentation(s))
-    fg, iota = finite_quotient(s)
+    fg, iota = finite_quotient(s, coset_cap)
     if fg.is_abelian and ab.torsion == () and ab.free_rank == k and k == K:
         orbit_of = [0] * s.n
         for i, block in enumerate(orbits):
@@ -115,6 +117,7 @@ def biorderability(s: Solution) -> OrderabilityVerdict:
         # abelianization but survives with finite order in the quotient:
         # the class of x^{-1} y witnessing torsion
         matrix = _exponent_matrix(structure_presentation(s))
+        in_lattice = row_lattice_membership(matrix, s.n)
         for x in range(s.n):
             for y in range(s.n):
                 g = fg.mult[fg.inv(iota[x])][iota[y]]
@@ -123,7 +126,7 @@ def biorderability(s: Solution) -> OrderabilityVerdict:
                 diff = [0] * s.n
                 diff[x] -= 1
                 diff[y] += 1
-                if in_row_lattice(matrix, diff):
+                if in_lattice(diff):
                     return OrderabilityVerdict(
                         False, ("quotient_torsion", x, y, fg.element_order(g))
                     )
@@ -138,7 +141,7 @@ def biorderability(s: Solution) -> OrderabilityVerdict:
     return OrderabilityVerdict(False, ("not_free_abelian",))
 
 
-def sd_dichotomy(rk: Rack) -> SDVerdict:
+def sd_dichotomy(rk: Rack, coset_cap: int = DEFAULT_COSET_CAP) -> SDVerdict:
     """The dichotomy for structure groups of self-distributive solutions.
 
     Decided by testing whether x and x > y always become equal in the
@@ -148,7 +151,7 @@ def sd_dichotomy(rk: Rack) -> SDVerdict:
     and is not left-orderable.
     """
     sol = sd_solutions(rk)[0]
-    _, iota = finite_quotient(sol)
+    _, iota = finite_quotient(sol, coset_cap)
     for x in range(rk.n):
         for y in range(rk.n):
             if iota[x] != iota[rk.op[x][y]]:
@@ -175,22 +178,25 @@ def involutive_orderability(s: Solution) -> InvolutiveVerdict:
     return InvolutiveVerdict(trivial, lo, lo, tower.mp_level)
 
 
-def analyze(s: Solution) -> AnalysisReport:
-    """Run all modules on a solution and assemble the consolidated report."""
+def analyze(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> AnalysisReport:
+    """Run all modules on a solution and assemble the consolidated report.
+
+    Every finite quotient is enumerated under coset_cap.
+    """
     flags = classify(s)
     k = len(solution_orbits(s))
     K = len(rack_orbits(structure_racks(s).right))
     deg = degrees(s)
     ab = abelianization(structure_presentation(s))
-    fg, _ = finite_quotient(s)
-    injective, partition = is_injective(s)
+    fg, _ = finite_quotient(s, coset_cap)
+    injective, partition = is_injective(s, coset_cap)
     tower = mp_tower(s)
     notes = [
         "k_r and the abelianization rank agree by the orbit-rank theorem",
         "the finite quotient divides out the twisted powers y^[d_y] and "
         "preserves injectivity of the generator map",
     ]
-    bi = biorderability(s)
+    bi = biorderability(s, coset_cap)
     if bi.bi_orderable:
         left = diffuse = "yes"
         notes.append(

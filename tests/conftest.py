@@ -2,7 +2,7 @@
 
 import pytest
 
-from ybe import Rack, Solution, enumerate_racks, enumerate_solutions
+from ybe import Rack, Solution, enumerate_racks, enumerate_solutions, sd_solutions
 from ybe.fixtures import fixture_names, fixture_object
 
 
@@ -49,3 +49,22 @@ def rack_fixtures(all_fixture_objects):
         for name, obj in all_fixture_objects.items()
         if isinstance(obj, Rack)
     }
+
+
+@pytest.fixture(scope="session")
+def census_solutions(solutions3):
+    """Representatives of every solution class on at most three points."""
+    return [
+        s
+        for n in (1, 2)
+        for s in enumerate_solutions(n).representatives
+    ] + list(solutions3.representatives)
+
+
+@pytest.fixture(scope="session")
+def fixture_and_sd_solutions(solution_fixtures, rack_fixtures):
+    """Every solution fixture and both SD solutions of every rack fixture."""
+    out = list(solution_fixtures.values())
+    for rk in rack_fixtures.values():
+        out.extend(sd_solutions(rk))
+    return out

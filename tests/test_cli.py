@@ -213,3 +213,36 @@ def test_parse_document_rejects_unknown_schema():
         parse_document(json.dumps({"schema": "other/1"}))
     with pytest.raises(ValueError):
         parse_document(json.dumps([1, 2, 3]))
+
+
+def test_analyze_coset_cap(capsys, monkeypatch):
+    code, _, err = run(capsys, "analyze", "solution/invol3-b", "--coset-cap", "5")
+    assert code == EXIT_RESOURCE
+    assert "resource limit" in err
+    monkeypatch.setenv("YBE_COSET_CAP", "5")
+    code, _, err = run(capsys, "analyze", "rack/dihedral3")
+    assert code == EXIT_RESOURCE
+
+
+@pytest.mark.parametrize("command", ["analyze", "quotient"])
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_nonpositive_coset_cap_is_a_usage_error(capsys, monkeypatch, command, cap):
+    code, out, err = run(capsys, command, "solution/twisted-flip2", "--coset-cap", cap)
+    assert code == EXIT_USAGE
+    assert out == "" and "coset cap" in err
+    monkeypatch.setenv("YBE_COSET_CAP", cap)
+    code, out, err = run(capsys, command, "solution/twisted-flip2")
+    assert code == EXIT_USAGE
+    assert out == "" and "coset cap" in err
+
+
+@pytest.mark.parametrize("command", ["check", "analyze", "quotient"])
+def test_unreadable_path_is_invalid_input(capsys, tmp_path, command):
+    code, out, err = run(capsys, command, str(tmp_path))
+    assert code == EXIT_INVALID
+    assert "Traceback" not in err
+    if command == "check":
+        payload = json.loads(out)
+        assert not payload["valid"] and payload["error"] == "InvalidInput"
+    else:
+        assert "invalid input" in err

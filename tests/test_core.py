@@ -5,6 +5,7 @@ import pytest
 from ybe import (
     chain_periods,
     classify,
+    enumerate_racks,
     invert_solution,
     rack_orbits,
     sd_solutions,
@@ -186,3 +187,30 @@ def test_decomposability_matches_invariant_splits(solution_fixtures):
     }
     for name, want in expected.items():
         assert classify(solution_fixtures[name]).decomposable is want, name
+
+
+def _decomposable_by_bipartition(s):
+    """Oracle: try every split X = Y | Z with r closed on Y x Y and Z x Z."""
+    n = s.n
+
+    def closed(block):
+        return all(set(s.r(x, y)) <= block for x in block for y in block)
+
+    # subsets containing element 0, by masking the other n-1 bits
+    for mask in range((1 << (n - 1)) - 1):
+        y_set = {0} | {i + 1 for i in range(n - 1) if (mask >> i) & 1}
+        if closed(y_set) and closed(set(range(n)) - y_set):
+            return True
+    return False
+
+
+def test_decomposability_matches_bipartition_oracle(
+    fixture_and_sd_solutions, census_solutions, racks4
+):
+    small_racks = [
+        rk for n in (1, 2, 3) for rk in enumerate_racks(n).representatives
+    ] + list(racks4.representatives)
+    objects = list(fixture_and_sd_solutions) + list(census_solutions)
+    objects += [s for rk in small_racks for s in sd_solutions(rk)]
+    for s in objects:
+        assert classify(s).decomposable is _decomposable_by_bipartition(s), s

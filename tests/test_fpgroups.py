@@ -23,9 +23,11 @@ from ybe import (
 from ybe.errors import CosetLimitExceeded, UnknownName
 from ybe.fixtures import fixture_rack, fixture_solution
 from ybe.fpgroups import (
+    _exponent_matrix,
     coset_enumeration,
     group_from_actions,
     in_row_lattice,
+    row_lattice_membership,
     smith_invariants,
 )
 from ybe.words import word_of
@@ -356,3 +358,84 @@ def test_quotient_word_length_reachability():
         from ybe.words import degrees
 
         assert max(dist.values()) <= 2 * s.n * (max(degrees(s).d) - 1)
+
+
+# -- loop invariants: one SNF, hoisted inverses, the inverse table ----------
+
+
+def test_row_lattice_membership_agrees_with_fresh_queries(
+    fixture_and_sd_solutions, census_solutions
+):
+    # vec is in the row lattice exactly when adding it as a row leaves the
+    # cokernel unchanged; that oracle never looks at the column transform
+    for s in list(fixture_and_sd_solutions) + list(census_solutions):
+        matrix = _exponent_matrix(structure_presentation(s))
+        contains = row_lattice_membership(matrix, s.n)
+        before = smith_invariants(matrix, s.n)
+        for x in range(s.n):
+            for y in range(s.n):
+                diff = [0] * s.n
+                diff[x] -= 1
+                diff[y] += 1
+                want = smith_invariants(matrix + [diff], s.n) == before
+                assert contains(diff) is in_row_lattice(matrix, diff) is want, (s, x, y)
+
+
+def test_smith_invariants_ignore_duplicate_and_zero_rows(fixture_and_sd_solutions):
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form
+
+    rng = random.Random(7)
+    for s in fixture_and_sd_solutions:
+        matrix = _exponent_matrix(structure_presentation(s))
+        padded = matrix + [[0] * s.n] + [rng.choice(matrix) for _ in range(3)]
+        rng.shuffle(padded)
+        distinct = [list(r) for r in dict.fromkeys(map(tuple, padded)) if any(r)]
+        assert len(distinct) < len(padded)
+        got = smith_invariants(padded, s.n)
+        assert got == smith_invariants(distinct, s.n) == smith_invariants(matrix, s.n)
+        snf = smith_normal_form(sympy.Matrix(padded))
+        diag = sorted(abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0)
+        assert got == (s.n - len(diag), tuple(d for d in diag if d > 1)), s
+
+
+def test_closing_check_inverts_each_generator_once(monkeypatch):
+    from ybe import perm
+    from ybe.words import degrees
+
+    calls = []
+    real_inverse = perm.inverse
+
+    def counting_inverse(p):
+        calls.append(p)
+        return real_inverse(p)
+
+    monkeypatch.setattr(perm, "inverse", counting_inverse)
+    s = fixture_solution("solution/invol3-b")
+    pres = structure_presentation(s)
+    actions = coset_enumeration(
+        Presentation(s.n, pres.relators + degrees(s).twisted_powers)
+    )
+    assert len(actions[0]) == 216
+    assert len(calls) <= s.n
+
+
+def test_fingerprint_scans_each_row_for_the_identity_once():
+    scans = []
+
+    class Row(tuple):
+        def index(self, value, *args):
+            scans.append(id(self))
+            return super().index(value, *args)
+
+    fg = rack_finite_quotient(fixture_rack("rack/12pt-gl23"))
+    counted = FiniteGroup(fg.order, tuple(Row(r) for r in fg.mult), fg.gen_images)
+    assert counted.fingerprint == fg.fingerprint
+    assert len(scans) == len(set(scans)) <= fg.order
+
+
+def test_inverse_table_matches_row_scan(solution_fixtures, rack_fixtures):
+    groups = [finite_quotient(s)[0] for s in solution_fixtures.values()]
+    groups += [rack_finite_quotient(rk) for rk in rack_fixtures.values()]
+    for fg in groups:
+        assert all(fg.inv(a) == fg.mult[a].index(0) for a in range(fg.order))

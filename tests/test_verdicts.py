@@ -207,3 +207,24 @@ def test_structure_rack_orbits_refine_solution_orbits(solution_fixtures):
         for rack_block in rack_orbits(structure_racks(s).right):
             assert len({block_of[x] for x in rack_block}) == 1
         assert len(rack_orbits(structure_racks(s).right)) >= len(sol_orbits)
+
+
+def test_biorderability_diagonalizes_a_constant_number_of_times(monkeypatch):
+    from ybe import fpgroups
+
+    calls = []
+    real = fpgroups._snf_diagonalize
+
+    def counting(mat, ncols):
+        calls.append(len(mat))
+        return real(mat, ncols)
+
+    monkeypatch.setattr(fpgroups, "_snf_diagonalize", counting)
+    n = 8
+    shift = [(v + 1) % n for v in range(n)]
+    s = verify_solution([shift] * n, [shift] * n)  # r(x, y) = (y + 1, x + 1)
+    verdict = biorderability(s)
+    # no generator pair is a torsion witness, so every pair was queried
+    assert verdict.certificate[0] == "ab_torsion"
+    # the abelianization and one SNF shared by all membership queries
+    assert len(calls) <= 2
