@@ -9,7 +9,7 @@ from itertools import product
 from typing import Optional, Union
 
 from . import perm
-from .core import Rack, Solution, verify_rack, verify_solution
+from .core import Rack, Solution, _ybe_witness, verify_rack, verify_solution
 from .derived import canonical_form, structure_racks
 from .errors import SizeTooLarge
 
@@ -100,21 +100,6 @@ def _pair_bijective(sigma, tau, n: int) -> bool:
     return True
 
 
-def _satisfies_ybe(sigma, tau, n: int) -> bool:
-    for x in range(n):
-        for y in range(n):
-            a, b = sigma[x][y], tau[y][x]
-            for z in range(n):
-                b2, c = sigma[b][z], tau[z][b]
-                lhs = (sigma[a][b2], tau[b2][a], c)
-                b4, c2 = sigma[y][z], tau[z][y]
-                a3, b5 = sigma[x][b4], tau[b4][x]
-                rhs = (a3, sigma[b5][c2], tau[c2][b5])
-                if lhs != rhs:
-                    return False
-    return True
-
-
 def _is_involutive(sigma, tau, n: int) -> bool:
     for x in range(n):
         for y in range(n):
@@ -156,7 +141,7 @@ def enumerate_solutions(
                 continue
             if restrict == "biquandle" and not _is_biquandle_tables(sigma, tau, n):
                 continue
-            if not _satisfies_ybe(sigma, tau, n):
+            if _ybe_witness(sigma, tau, n) is not None:
                 continue
             valid.append(Solution(n, sigma, tau))
     for s in valid[: min(len(valid), 5)]:

@@ -10,11 +10,14 @@ Elements are always 0-based integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import add, itemgetter, mul
 from typing import Optional, Sequence
 
 from . import perm
 from .errors import (
     DegenerateRow,
+    InvalidInput,
     NonBijectiveTranslation,
     NotInvertible,
     SelfDistributivityFailure,
@@ -25,7 +28,12 @@ Table = tuple[tuple[int, ...], ...]
 
 
 def _freeze(table: Sequence[Sequence[int]]) -> Table:
-    return tuple(tuple(int(v) for v in row) for row in table)
+    table = tuple(tuple(row) for row in table)
+    for row in table:
+        for v in row:
+            if type(v) is not int:
+                raise InvalidInput(f"table entries must be integers, got {v!r}")
+    return table
 
 
 @dataclass(frozen=True)
@@ -38,10 +46,6 @@ class Solution:
 
     def r(self, x: int, y: int) -> tuple[int, int]:
         return self.sigma[x][y], self.tau[y][x]
-
-    @property
-    def size(self) -> int:
-        return self.n
 
 
 @dataclass(frozen=True)
@@ -97,25 +101,50 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
     if len(pairs) != n * n:
         raise NotInvertible("the pair map (x,y) -> (sigma_x(y), tau_y(x)) is not bijective")
 
-    def r(x: int, y: int) -> tuple[int, int]:
-        return sigma[x][y], tau[y][x]
-
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                # r1 r2 r1 applied to (x, y, z)
-                a, b = r(x, y)
-                b2, c = r(b, z)
-                a2, b3 = r(a, b2)
-                lhs = (a2, b3, c)
-                # r2 r1 r2
-                b4, c2 = r(y, z)
-                a3, b5 = r(x, b4)
-                b6, c3 = r(b5, c2)
-                rhs = (a3, b6, c3)
-                if lhs != rhs:
-                    raise YBEFailure((x, y, z))
+    witness = _ybe_witness(sigma, tau, n)
+    if witness is not None:
+        raise YBEFailure(witness)
     return Solution(n, sigma, tau)
+
+
+def _ybe_witness(sigma: Table, tau: Table, n: int) -> Optional[tuple[int, int, int]]:
+    """The lexicographically first triple on which r1 r2 r1 and r2 r1 r2
+    differ, or None when the braid relation holds on all n^3 triples.
+
+    Entries must lie in range(n).  With (a, b) = r(x, y), the two sides agree
+    on (x, y, z) exactly when
+      sigma_a sigma_b (z) = sigma_x sigma_y (z)   and
+      (tau_{sigma_b(z)}(a), tau_z(b)) = r(tau_{sigma_y(z)}(x), tau_z(y)).
+    Each (x, y) is checked for every z at once by C-level gathers; only a
+    row that differs is scanned in Python, for its first z.
+    """
+    if n == 1:
+        return None  # every entry is 0, so both sides are (0, 0, 0)
+    cols = tuple(zip(*tau))  # cols[x][y] = tau_y(x)
+    after = [itemgetter(*row) for row in sigma]  # after[b](p)[z] = p[sigma_b(z)]
+    # A pair (u, v) is coded u*n + v; blocks[u] holds the codes of (u, 0..n-1).
+    # pair_sigma and pair_tau take the code of (u, v) to the two points of
+    # r(u, v), r_code[y] gathers over z the code of r(y, z), and left_x takes
+    # the code of (u, v) to the code of (tau_u(x), v).
+    pair_sigma = tuple(chain.from_iterable(sigma))
+    pair_tau = tuple(chain.from_iterable(cols))
+    codes = map(add, map(mul, pair_sigma, repeat(n)), pair_tau)
+    r_code = [itemgetter(*row) for row in zip(*[codes] * n)]
+    blocks = list(zip(*[iter(range(n * n))] * n))
+    for x in range(n):
+        left_x = tuple(chain.from_iterable(itemgetter(*cols[x])(blocks)))
+        sigma_x = sigma[x]
+        for y in range(n):
+            a, b = sigma_x[y], tau[y][x]
+            first_l, first_r = after[b](sigma[a]), after[y](sigma_x)
+            mid_l, last_l = after[b](cols[a]), cols[b]
+            at = itemgetter(*r_code[y](left_x))
+            mid_r, last_r = at(pair_sigma), at(pair_tau)
+            if first_l != first_r or mid_l != mid_r or last_l != last_r:
+                for z in range(n):
+                    if (first_l[z], mid_l[z], last_l[z]) != (first_r[z], mid_r[z], last_r[z]):
+                        return x, y, z
+    return None
 
 
 def invert_solution(s: Solution) -> Solution:
@@ -141,12 +170,32 @@ def verify_rack(op: Sequence[Sequence[int]]) -> Rack:
     for y in range(n):
         if not perm.is_perm(tuple(op[x][y] for x in range(n)), n):
             raise NonBijectiveTranslation(y)
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if op[op[x][y]][z] != op[op[x][z]][op[y][z]]:
-                    raise SelfDistributivityFailure((x, y, z))
+    witness = _sd_witness(op, n)
+    if witness is not None:
+        raise SelfDistributivityFailure(witness)
     return Rack(n, op)
+
+
+def _sd_witness(op: Table, n: int) -> Optional[tuple[int, int, int]]:
+    """The lexicographically first (x, y, z) with (x > y) > z != (x > z) > (y > z),
+    or None when op is right self-distributive.
+
+    Entries must lie in range(n).  Uses the translation form
+    rho_z rho_y = rho_{rho_z(y)} rho_z, one pair (y, z) at a time over every
+    x.  A pair that fails is scanned for its first x; the witness is the
+    least (x, y, z) over all failing pairs.
+    """
+    rho = tuple(zip(*op))  # rho[y][x] = x > y
+    after = [itemgetter(*col) for col in rho]  # after[y](p)[x] = p[x > y]
+    best = None
+    for y in range(n):
+        for z in range(n):
+            lhs, rhs = after[y](rho[z]), after[z](rho[rho[z][y]])
+            if lhs != rhs:
+                x = next(x for x in range(n) if lhs[x] != rhs[x])
+                if best is None or x < best[0]:
+                    best = (x, y, z)
+    return best
 
 
 def sd_solutions(rk: Rack) -> tuple[Solution, Solution]:
@@ -221,7 +270,7 @@ def chain_periods(rk: Rack) -> ChainReport:
 
 def t_map_of(s: Solution) -> perm.Perm:
     """The map T(y) = tau_y^{-1}(y); always a bijection for valid solutions."""
-    return tuple(perm.inverse(s.tau[y])[y] for y in range(s.n))
+    return tuple(s.tau[y].index(y) for y in range(s.n))
 
 
 def is_biquandle(s: Solution) -> bool:

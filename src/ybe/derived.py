@@ -20,7 +20,7 @@ from .core import (
     verify_solution,
 )
 from .errors import SizeTooLarge
-from .words import act_left, act_right, twisted_power
+from .words import twisted_power
 
 ISO_BOUND = 6  # factorial search cap for canonical forms
 
@@ -163,6 +163,10 @@ def cable(s: Solution, m: int) -> Solution:
     """The m-cabled solution
 
     r^[m](x, y) = (T^{-(m-1)}(x^[m] acting on T^{m-1}(y)), x acted by y^[m]).
+
+    With x^[m] = w_1 ... w_m, each row is a composite of rows of s:
+    sigma^[m]_x = T^{-(m-1)} sigma_{w_1} ... sigma_{w_m} T^{m-1} and
+    tau^[m]_x = tau_{w_m} ... tau_{w_1}.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -170,12 +174,17 @@ def cable(s: Solution, m: int) -> Solution:
     t = structure_racks(s).T
     t_fwd = perm.power(t, m - 1)
     t_back = perm.inverse(t_fwd)
-    powers = [twisted_power(s, x, m) for x in range(n)]
-    sigma_c = [
-        [t_back[act_left(s, powers[x], t_fwd[y])] for y in range(n)]
-        for x in range(n)
-    ]
-    tau_c = [[act_right(s, x, powers[y]) for x in range(n)] for y in range(n)]
+    sigma_c, tau_c = [], []
+    for x in range(n):
+        letters = [g for g, _ in twisted_power(s, x, m)]
+        row = t_fwd
+        for g in reversed(letters):
+            row = perm.compose(s.sigma[g], row)
+        sigma_c.append(perm.compose(t_back, row))
+        row = perm.identity(n)
+        for g in letters:
+            row = perm.compose(s.tau[g], row)
+        tau_c.append(row)
     return verify_solution(sigma_c, tau_c)
 
 

@@ -12,7 +12,7 @@ from typing import Union
 
 from . import perm
 from .core import Rack, Solution, verify_rack, verify_solution
-from .errors import UnknownName
+from .errors import InvalidInput, UnknownName
 
 SOLUTION_SCHEMA = "ybe-solution/1"
 RACK_SCHEMA = "ybe-rack/1"
@@ -206,12 +206,22 @@ def fixture_document(name: str) -> dict:
 
 
 def object_from_document(doc: dict) -> Union[Solution, Rack]:
+    """The validated object of a document; a declared n and the labels, when
+    present, must match the size of its tables."""
     schema = doc.get("schema")
     if schema == SOLUTION_SCHEMA:
-        return verify_solution(doc["sigma"], doc["tau"])
-    if schema == RACK_SCHEMA:
-        return verify_rack(doc["op"])
-    raise ValueError(f"unknown document schema {schema!r}")
+        obj = verify_solution(doc["sigma"], doc["tau"])
+    elif schema == RACK_SCHEMA:
+        obj = verify_rack(doc["op"])
+    else:
+        raise ValueError(f"unknown document schema {schema!r}")
+    n = doc.get("n", obj.n)
+    if type(n) is not int or n != obj.n:
+        raise InvalidInput(f"declared n = {n!r} does not match the {obj.n} x {obj.n} tables")
+    labels = doc.get("labels")
+    if labels is not None and (not isinstance(labels, list) or len(labels) != obj.n):
+        raise InvalidInput(f"labels must be a list of {obj.n} names, got {labels!r}")
+    return obj
 
 
 def fixture_object(name: str) -> Union[Solution, Rack]:

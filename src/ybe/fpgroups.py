@@ -4,12 +4,13 @@ quotient, injectivity testing, and reference group constructions."""
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 from typing import Callable, Sequence
 
 from . import perm
@@ -530,7 +531,24 @@ def group_from_actions(actions: list[perm.Perm]) -> FiniteGroup:
 # Finite quotients of structure groups
 
 
-@lru_cache(maxsize=None)
+def _memoised(fn):
+    """lru_cache keyed on the bound arguments with defaults filled in, so
+    f(s), f(s, cap) and f(s, coset_cap=cap) share one entry."""
+    cached = lru_cache(maxsize=None)(fn)
+    signature = inspect.signature(fn)
+
+    @wraps(fn)
+    def call(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cached(*bound.args)
+
+    call.cache_info = cached.cache_info
+    call.cache_clear = cached.cache_clear
+    return call
+
+
+@_memoised
 def finite_quotient(
     s: Solution, coset_cap: int = DEFAULT_COSET_CAP
 ) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -553,7 +571,7 @@ def finite_quotient(
     return fg, fg.gen_images
 
 
-@lru_cache(maxsize=None)
+@_memoised
 def rack_finite_quotient(
     rk: Rack, variant: str = "right", coset_cap: int = DEFAULT_COSET_CAP
 ) -> FiniteGroup:

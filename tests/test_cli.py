@@ -246,3 +246,39 @@ def test_unreadable_path_is_invalid_input(capsys, tmp_path, command):
         assert not payload["valid"] and payload["error"] == "InvalidInput"
     else:
         assert "invalid input" in err
+
+
+def _check_invalid(capsys, tmp_path, doc, command="check"):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, command, str(path))
+    assert code == EXIT_INVALID
+    assert "Traceback" not in err
+    if command == "check":
+        payload = json.loads(out)
+        assert payload["valid"] is False and payload["error"] == "InvalidInput"
+    else:
+        assert out == "" and "invalid input" in err
+
+
+def test_string_entries_are_rejected(capsys, tmp_path):
+    doc = {"schema": "ybe-rack/1", "n": 2, "op": [["0", "0"], ["1", "1"]]}
+    _check_invalid(capsys, tmp_path, doc)
+
+
+def test_declared_n_must_match_the_tables(capsys, tmp_path):
+    doc = {"schema": "ybe-rack/1", "n": 5, "op": [[0, 0], [1, 1]]}
+    _check_invalid(capsys, tmp_path, doc)
+
+
+# each table coerces under int() to the trivial rack on 2 points
+@pytest.mark.parametrize("op", [[[0, 0], [True, 1]], [[False, 0], [1, 1]], [[0, 0], [1.9, 1]]])
+def test_boolean_and_float_entries_are_rejected(capsys, tmp_path, op):
+    _check_invalid(capsys, tmp_path, {"schema": "ybe-rack/1", "n": 2, "op": op})
+
+
+@pytest.mark.parametrize("command", ["check", "quotient"])
+def test_labels_must_name_every_point(capsys, tmp_path, command):
+    doc = {"schema": "ybe-solution/1", "n": 2, "sigma": [[0, 1], [0, 1]],
+           "tau": [[0, 1], [0, 1]], "labels": ["a"]}
+    _check_invalid(capsys, tmp_path, doc, command)

@@ -439,3 +439,27 @@ def test_inverse_table_matches_row_scan(solution_fixtures, rack_fixtures):
     groups += [rack_finite_quotient(rk) for rk in rack_fixtures.values()]
     for fg in groups:
         assert all(fg.inv(a) == fg.mult[a].index(0) for a in range(fg.order))
+
+
+def test_quotient_cache_ignores_how_the_cap_is_spelled(monkeypatch):
+    from ybe import fpgroups
+
+    calls = []
+    real_enumeration = fpgroups.coset_enumeration
+
+    def counting_enumeration(*args, **kwargs):
+        calls.append(args)
+        return real_enumeration(*args, **kwargs)
+
+    monkeypatch.setattr(fpgroups, "coset_enumeration", counting_enumeration)
+    finite_quotient.cache_clear()
+    rack_finite_quotient.cache_clear()
+    cap = fpgroups.DEFAULT_COSET_CAP
+    s = fixture_solution("solution/invol3-b")
+    assert finite_quotient(s) == finite_quotient(s, cap) == finite_quotient(s, coset_cap=cap)
+    assert len(calls) == 1
+    rk = fixture_rack("rack/dihedral3")
+    first = rack_finite_quotient(rk)
+    assert first == rack_finite_quotient(rk, "right", cap) == rack_finite_quotient(rk, coset_cap=cap)
+    assert first == rack_finite_quotient(rk, variant="right")
+    assert len(calls) == 2
