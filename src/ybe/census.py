@@ -9,7 +9,8 @@ from itertools import product
 from typing import Optional, Union
 
 from . import perm
-from .core import Rack, Solution, _ybe_witness, verify_rack, verify_solution
+from .core import Rack, Solution, verify_rack, verify_solution
+from .core import _is_biquandle_tables, _is_involutive, _pair_bijective, _ybe_witness
 from .derived import canonical_form, structure_racks
 from .errors import SizeTooLarge
 
@@ -87,34 +88,6 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
         verify_rack(rk.op)  # spot re-validation of the fast search
     reps, sizes = _dedupe(valid)
     return Census(n, "quandle" if quandles_only else "rack", tuple(reps), tuple(sizes))
-
-
-def _pair_bijective(sigma, tau, n: int) -> bool:
-    seen = set()
-    for x in range(n):
-        for y in range(n):
-            pair = (sigma[x][y], tau[y][x])
-            if pair in seen:
-                return False
-            seen.add(pair)
-    return True
-
-
-def _is_involutive(sigma, tau, n: int) -> bool:
-    for x in range(n):
-        for y in range(n):
-            u, v = sigma[x][y], tau[y][x]
-            if (sigma[u][v], tau[v][u]) != (x, y):
-                return False
-    return True
-
-
-def _is_biquandle_tables(sigma, tau, n: int) -> bool:
-    for x in range(n):
-        t = perm.inverse(tau[x])[x]
-        if sigma[t][x] != t or tau[x][t] != x:
-            return False
-    return True
 
 
 @lru_cache(maxsize=None)

@@ -7,9 +7,7 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Union
 
-from . import perm
 from .census import enumerate_racks, enumerate_solutions, group_by_structure_rack
 from .core import Rack, Solution, chain_periods, classify, sd_solutions
 from .derived import cable, canonical_form
@@ -80,15 +78,6 @@ def _coset_cap(args) -> int:
     return cap
 
 
-def _cycle_notation(p: perm.Perm, labels: list[str]) -> str:
-    parts = [
-        "(" + " ".join(labels[i] for i in cyc) + ")"
-        for cyc in perm.cycles(p)
-        if len(cyc) > 1
-    ]
-    return "".join(parts) if parts else "id"
-
-
 def cmd_check(args) -> int:
     try:
         doc = _load_document(args.path)
@@ -126,15 +115,11 @@ def cmd_check(args) -> int:
     return EXIT_OK
 
 
-def _solution_of(obj: Union[Solution, Rack]) -> Solution:
-    return obj if isinstance(obj, Solution) else sd_solutions(obj)[0]
-
-
 def cmd_analyze(args) -> int:
     cap = _coset_cap(args)
     doc = _load_document(args.path)
     obj = object_from_document(doc)
-    report = analyze(_solution_of(obj), cap)
+    report = analyze(obj if isinstance(obj, Solution) else sd_solutions(obj)[0], cap)
     payload = report.to_dict()
     if isinstance(obj, Rack):
         verdict = sd_dichotomy(obj, cap)
@@ -174,6 +159,8 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    if args.size < 1:
+        raise _UsageError(f"the census size must be a positive integer, got {args.size}")
     kind = args.kind
     if kind in ("rack", "quandle"):
         census = enumerate_racks(args.size, quandles_only=(kind == "quandle"))

@@ -9,9 +9,12 @@ Elements are always 0-based integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import inspect
+from dataclasses import dataclass, field
+from functools import wraps
 from itertools import chain, repeat
 from operator import add, itemgetter, mul
+from types import SimpleNamespace
 from typing import Optional, Sequence
 
 from . import perm
@@ -28,12 +31,47 @@ Table = tuple[tuple[int, ...], ...]
 
 
 def _freeze(table: Sequence[Sequence[int]]) -> Table:
-    table = tuple(tuple(row) for row in table)
+    try:
+        table = tuple(tuple(row) for row in table)
+    except TypeError:
+        raise InvalidInput("a table must be a list of lists of integers") from None
     for row in table:
         for v in row:
             if type(v) is not int:
                 raise InvalidInput(f"table entries must be integers, got {v!r}")
     return table
+
+
+def per_input(fn):
+    """Memoise fn(obj, *args) in obj._memo, so each value is computed once
+    per input object and lives exactly as long as it.
+
+    Defaults are filled in before the key is built, so f(obj), f(obj, v) and
+    f(obj, name=v) share one entry; cache_info() counts hits and misses over
+    all objects.
+    """
+    signature = inspect.signature(fn)
+    arity = len(signature.parameters) - 1
+    counts = {"hits": 0, "misses": 0}
+
+    @wraps(fn)
+    def call(obj, *args, **kwargs):
+        if kwargs or len(args) < arity:
+            bound = signature.bind(obj, *args, **kwargs)
+            bound.apply_defaults()
+            args = bound.args[1:]
+        key, memo = (fn, *args), obj._memo
+        counts["hits" if key in memo else "misses"] += 1
+        if key not in memo:
+            memo[key] = fn(obj, *args)
+        return memo[key]
+
+    call.cache_info = lambda: SimpleNamespace(**counts)
+    return call
+
+
+# A per-object memo for per_input; it takes no part in equality, hashing or repr.
+_MEMO = dict(default_factory=dict, init=False, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -43,6 +81,7 @@ class Solution:
     n: int
     sigma: Table  # sigma[x][y] = sigma_x(y)
     tau: Table    # tau[y][x] = tau_y(x)
+    _memo: dict = field(**_MEMO)
 
     def r(self, x: int, y: int) -> tuple[int, int]:
         return self.sigma[x][y], self.tau[y][x]
@@ -54,6 +93,7 @@ class Rack:
 
     n: int
     op: Table
+    _memo: dict = field(**_MEMO)
 
     def rho(self, y: int) -> perm.Perm:
         """The right translation by y as a permutation."""
@@ -97,8 +137,7 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
     for y in range(n):
         if not perm.is_perm(tau[y], n):
             raise DegenerateRow("tau", y)
-    pairs = {(sigma[x][y], tau[y][x]) for x in range(n) for y in range(n)}
-    if len(pairs) != n * n:
+    if not _pair_bijective(sigma, tau, n):
         raise NotInvertible("the pair map (x,y) -> (sigma_x(y), tau_y(x)) is not bijective")
 
     witness = _ybe_witness(sigma, tau, n)
@@ -147,8 +186,43 @@ def _ybe_witness(sigma: Table, tau: Table, n: int) -> Optional[tuple[int, int, i
     return None
 
 
+def _pair_bijective(sigma, tau, n: int) -> bool:
+    """Whether the pair map (x, y) -> (sigma_x(y), tau_y(x)) is a bijection."""
+    seen = set()
+    for x in range(n):
+        for y in range(n):
+            pair = (sigma[x][y], tau[y][x])
+            if pair in seen:
+                return False
+            seen.add(pair)
+    return True
+
+
+def _is_involutive(sigma, tau, n: int) -> bool:
+    """Whether r(r(x, y)) = (x, y) for all x, y."""
+    for x in range(n):
+        for y in range(n):
+            u, v = sigma[x][y], tau[y][x]
+            if (sigma[u][v], tau[v][u]) != (x, y):
+                return False
+    return True
+
+
+def _is_biquandle_tables(sigma, tau, n: int) -> bool:
+    """Whether r(T(x), x) = (T(x), x) for all x, with T(x) = tau_x^{-1}(x)."""
+    for x in range(n):
+        t = tau[x].index(x)
+        if sigma[t][x] != t:
+            return False
+    return True
+
+
+@per_input
 def invert_solution(s: Solution) -> Solution:
-    """The inverse braiding r^{-1}(x,y) = (sigma^_x(y), tau^_y(x))."""
+    """The inverse braiding r^{-1}(x,y) = (sigma^_x(y), tau^_y(x)).
+
+    r^{-1} of a valid solution is valid, so the tables are not checked again.
+    """
     n = s.n
     sigma_hat = [[0] * n for _ in range(n)]
     tau_hat = [[0] * n for _ in range(n)]
@@ -158,7 +232,7 @@ def invert_solution(s: Solution) -> Solution:
             # r^{-1}(u, v) = (x, y)
             sigma_hat[u][v] = x
             tau_hat[v][u] = y
-    return verify_solution(sigma_hat, tau_hat)
+    return Solution(n, tuple(map(tuple, sigma_hat)), tuple(map(tuple, tau_hat)))
 
 
 def verify_rack(op: Sequence[Sequence[int]]) -> Rack:
@@ -198,19 +272,19 @@ def _sd_witness(op: Table, n: int) -> Optional[tuple[int, int, int]]:
     return best
 
 
+@per_input
 def sd_solutions(rk: Rack) -> tuple[Solution, Solution]:
     """The two self-distributive solutions of a rack.
 
     Returns (r_op, r'_op) with r_op(x,y) = (y, x > y) and
-    r'_op(x,y) = (y > x, x).
+    r'_op(x,y) = (y > x, x).  Both are solutions for every rack, so their
+    tables are not checked again.
     """
     n = rk.n
-    ident = list(range(n))
-    # r_op: sigma_x = id, tau_y = rho_y
-    first = verify_solution([ident] * n, [list(rk.rho(y)) for y in range(n)])
-    # r'_op: sigma_x = rho_x, tau_y = id
-    second = verify_solution([list(rk.rho(x)) for x in range(n)], [ident] * n)
-    return first, second
+    ident = (perm.identity(n),) * n
+    rho = tuple(rk.rho(y) for y in range(n))
+    # r_op: sigma_x = id, tau_y = rho_y; r'_op: sigma_x = rho_x, tau_y = id
+    return Solution(n, ident, rho), Solution(n, rho, ident)
 
 
 def _partition_from_perms(n: int, perms: list[perm.Perm]) -> tuple[tuple[int, ...], ...]:
@@ -275,14 +349,13 @@ def t_map_of(s: Solution) -> perm.Perm:
 
 def is_biquandle(s: Solution) -> bool:
     """A solution is a biquandle iff r(T(x), x) = (T(x), x) for all x."""
-    t = t_map_of(s)
-    return all(s.r(t[x], x) == (t[x], x) for x in range(s.n))
+    return _is_biquandle_tables(s.sigma, s.tau, s.n)
 
 
 def classify(s: Solution) -> SolutionClass:
     n = s.n
     ident = perm.identity(n)
-    involutive = all(s.r(*s.r(x, y)) == (x, y) for x in range(n) for y in range(n))
+    involutive = _is_involutive(s.sigma, s.tau, n)
     bq = is_biquandle(s)
     sd_right = all(s.sigma[x] == ident for x in range(n))
     sd_left = all(s.tau[y] == ident for y in range(n))

@@ -4,9 +4,8 @@ retraction tower, cabling, and isomorphism testing."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
-from typing import Optional, Union
+from typing import Hashable, Optional, Union
 
 from . import perm
 from .core import (
@@ -15,12 +14,13 @@ from .core import (
     Table,
     invert_solution,
     is_biquandle,
+    per_input,
     t_map_of,
     verify_rack,
     verify_solution,
 )
 from .errors import SizeTooLarge
-from .words import twisted_power
+from .words import _sigma_inv, structure_rho, twisted_power
 
 ISO_BOUND = 6  # factorial search cap for canonical forms
 
@@ -39,27 +39,25 @@ class RetractionTower:
     mp_level: Optional[int]  # None means "not MP"
 
 
-@lru_cache(maxsize=None)
+@per_input
 def structure_racks(s: Solution) -> StructureRackPair:
     """Both structure racks of a solution, with the T and Sq maps.
 
     The right operation is x >_r y = tau_y(tau^_y^{-1}(x)) and the left one
     is y <_r x = sigma_y(sigma^_y^{-1}(x)); T(y) = tau_y^{-1}(y) and
-    Sq(x) = x >_r x = x <_r x.
+    Sq(x) = x >_r x = x <_r x.  The structure rack of a solution is a rack,
+    so its table is not checked again.
     """
     n = s.n
-    inv = invert_solution(s)
-    tau_hat_inv = [perm.inverse(inv.tau[y]) for y in range(n)]
-    sigma_hat_inv = [perm.inverse(inv.sigma[y]) for y in range(n)]
-    right = [[s.tau[y][tau_hat_inv[y][x]] for y in range(n)] for x in range(n)]
+    right = Rack(n, tuple(zip(*structure_rho(s))))
+    sigma_hat_inv = _sigma_inv(invert_solution(s))
     left = tuple(
         tuple(s.sigma[y][sigma_hat_inv[y][x]] for x in range(n)) for y in range(n)
     )
-    t = t_map_of(s)
-    sq = tuple(right[x][x] for x in range(n))
+    sq = tuple(right.op[x][x] for x in range(n))
     assert all(left[x][x] == sq[x] for x in range(n))
     assert perm.is_perm(sq, n)
-    return StructureRackPair(verify_rack(right), left, t, sq)
+    return StructureRackPair(right, left, t_map_of(s), sq)
 
 
 def sq_map(rk: Rack) -> perm.Perm:
@@ -69,7 +67,7 @@ def sq_map(rk: Rack) -> perm.Perm:
     return sq
 
 
-def _quotient_classes(n: int, class_of: list[int]) -> tuple[list[int], list[int]]:
+def _quotient_classes(n: int, class_of: list[Hashable]) -> tuple[list[int], list[int]]:
     """Renumber class labels to 0..k-1 by first occurrence; return
     (normalized class_of, representative of each class)."""
     relabel: dict[int, int] = {}
@@ -84,7 +82,7 @@ def _quotient_classes(n: int, class_of: list[int]) -> tuple[list[int], list[int]
     return out, reps
 
 
-def _quotient_solution(s: Solution, class_of: list[int]) -> tuple[Solution, tuple[int, ...]]:
+def _quotient_solution(s: Solution, class_of: list[Hashable]) -> tuple[Solution, tuple[int, ...]]:
     """Quotient tables along a congruence, asserting well-definedness."""
     n = s.n
     cls, reps = _quotient_classes(n, class_of)
@@ -135,12 +133,7 @@ def induced_quandle(rk: Rack) -> tuple[Rack, tuple[int, ...]]:
 
 def retraction(s: Solution) -> tuple[Solution, tuple[int, ...]]:
     """Quotient by equality of sigma- and tau-rows."""
-    keys: dict[tuple, int] = {}
-    class_of = []
-    for x in range(s.n):
-        key = (s.sigma[x], s.tau[x])
-        class_of.append(keys.setdefault(key, len(keys)))
-    return _quotient_solution(s, class_of)
+    return _quotient_solution(s, [(s.sigma[x], s.tau[x]) for x in range(s.n)])
 
 
 def mp_level(s: Solution) -> RetractionTower:
@@ -171,8 +164,7 @@ def cable(s: Solution, m: int) -> Solution:
     if m < 1:
         raise ValueError("m must be a positive integer")
     n = s.n
-    t = structure_racks(s).T
-    t_fwd = perm.power(t, m - 1)
+    t_fwd = perm.power(t_map_of(s), m - 1)
     t_back = perm.inverse(t_fwd)
     sigma_c, tau_c = [], []
     for x in range(n):

@@ -206,13 +206,13 @@ def fixture_document(name: str) -> dict:
 
 
 def object_from_document(doc: dict) -> Union[Solution, Rack]:
-    """The validated object of a document; a declared n and the labels, when
-    present, must match the size of its tables."""
+    """The validated object of a document; its tables must be present, and a
+    declared n and the labels, when present, must match their size."""
     schema = doc.get("schema")
     if schema == SOLUTION_SCHEMA:
-        obj = verify_solution(doc["sigma"], doc["tau"])
+        obj = verify_solution(doc.get("sigma"), doc.get("tau"))
     elif schema == RACK_SCHEMA:
-        obj = verify_rack(doc["op"])
+        obj = verify_rack(doc.get("op"))
     else:
         raise ValueError(f"unknown document schema {schema!r}")
     n = doc.get("n", obj.n)

@@ -4,20 +4,19 @@ quotient, injectivity testing, and reference group constructions."""
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 import random
 from collections import deque
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property
 from typing import Callable, Sequence
 
 from . import perm
-from .core import Rack, Solution, is_biquandle, sd_solutions, verify_solution
-from .derived import induced_biquandle
+from .core import _MEMO, Rack, Solution, is_biquandle, per_input, sd_solutions
+from .derived import _quotient_solution, induced_biquandle
 from .errors import CosetLimitExceeded, UnknownName
-from .words import Word, degrees, free_reduce
+from .words import Word, _rack_degree, degrees, free_reduce
 
 DEFAULT_COSET_CAP = 10**6
 
@@ -26,6 +25,7 @@ DEFAULT_COSET_CAP = 10**6
 class Presentation:
     generator_count: int
     relators: tuple[Word, ...]
+    _memo: dict = field(**_MEMO)
 
 
 @dataclass(frozen=True)
@@ -34,6 +34,7 @@ class AbelianInvariants:
     torsion: tuple[int, ...]  # invariant factors >= 2, each dividing the next
 
 
+@per_input
 def structure_presentation(s: Solution) -> Presentation:
     """<X | x y = sigma_x(y) tau_y(x)>, one relator per ordered pair."""
     seen = set()
@@ -136,20 +137,25 @@ def _divisibility_chain(diag: list[int]) -> list[int]:
 
 def smith_invariants(mat: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...]]:
     """(free rank of the cokernel Z^ncols / rowspace, invariant factors > 1)."""
-    diag, _ = _snf_diagonalize(mat, ncols)
+    return _cokernel(_snf_diagonalize(mat, ncols)[0], ncols)
+
+
+def _cokernel(diag: list[int], ncols: int) -> tuple[int, tuple[int, ...]]:
     chain = _divisibility_chain(diag)
-    free_rank = ncols - len(chain)
-    return free_rank, tuple(x for x in chain if x > 1)
+    return ncols - len(chain), tuple(x for x in chain if x > 1)
 
 
 def row_lattice_membership(mat: list[list[int]], ncols: int) -> Callable[[Sequence[int]], bool]:
-    """Membership test for the integer row span of mat, from a single SNF.
+    """Membership test for the integer row span of mat, from a single SNF."""
+    return _membership(_snf_diagonalize(mat, ncols), ncols)
 
-    With U A V = diag(d), a vector lies in the row span exactly when every
-    entry of vec.V is divisible by the matching d_j (d_j = 0 past the
+
+def _membership(snf: tuple, ncols: int) -> Callable[[Sequence[int]], bool]:
+    """With U A V = diag(d), a vector lies in the row span of A exactly when
+    every entry of vec.V is divisible by the matching d_j (d_j = 0 past the
     diagonal); V does not depend on vec, so every query reuses it.
     """
-    diag, v = _snf_diagonalize(mat, ncols)
+    diag, v = snf
     divisors = diag + [0] * (ncols - len(diag))
 
     def contains(vec: Sequence[int]) -> bool:
@@ -177,10 +183,15 @@ def _exponent_matrix(p: Presentation) -> list[list[int]]:
     return mat
 
 
+@per_input
+def _relator_snf(p: Presentation) -> tuple[list[int], list[list[int]]]:
+    """The diagonalized exponent matrix of p, one SNF per presentation."""
+    return _snf_diagonalize(_exponent_matrix(p), p.generator_count)
+
+
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Invariant factors of the abelianized group Z^n / relator lattice."""
-    free_rank, torsion = smith_invariants(_exponent_matrix(p), p.generator_count)
-    return AbelianInvariants(free_rank, torsion)
+    return AbelianInvariants(*_cokernel(_relator_snf(p)[0], p.generator_count))
 
 
 # ---------------------------------------------------------------------------
@@ -531,24 +542,7 @@ def group_from_actions(actions: list[perm.Perm]) -> FiniteGroup:
 # Finite quotients of structure groups
 
 
-def _memoised(fn):
-    """lru_cache keyed on the bound arguments with defaults filled in, so
-    f(s), f(s, cap) and f(s, coset_cap=cap) share one entry."""
-    cached = lru_cache(maxsize=None)(fn)
-    signature = inspect.signature(fn)
-
-    @wraps(fn)
-    def call(*args, **kwargs):
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        return cached(*bound.args)
-
-    call.cache_info = cached.cache_info
-    call.cache_clear = cached.cache_clear
-    return call
-
-
-@_memoised
+@per_input
 def finite_quotient(
     s: Solution, coset_cap: int = DEFAULT_COSET_CAP
 ) -> tuple[FiniteGroup, tuple[int, ...]]:
@@ -571,7 +565,7 @@ def finite_quotient(
     return fg, fg.gen_images
 
 
-@_memoised
+@per_input
 def rack_finite_quotient(
     rk: Rack, variant: str = "right", coset_cap: int = DEFAULT_COSET_CAP
 ) -> FiniteGroup:
@@ -581,18 +575,12 @@ def rack_finite_quotient(
     sol = sd_solutions(rk)[0 if variant == "right" else 1]
     pres = structure_presentation(sol)
     power_relators = tuple(
-        tuple((x, 1) for _ in range(_rack_power(rk, x))) for x in range(rk.n)
+        tuple((x, 1) for _ in range(_rack_degree(rk.rho(x)))) for x in range(rk.n)
     )
     actions = coset_enumeration(
         Presentation(rk.n, pres.relators + power_relators), coset_cap
     )
     return group_from_actions(actions)
-
-
-def _rack_power(rk: Rack, x: int) -> int:
-    """Minimal D >= 2 with rho_x^D = id."""
-    o = perm.order(rk.rho(x))
-    return o if o >= 2 else 2
 
 
 def is_injective(
@@ -610,18 +598,9 @@ def is_injective(
 def induced_injective_solution(s: Solution) -> tuple[Solution, tuple[int, ...]]:
     """Quotient solution on classes of generators with equal quotient image."""
     _, iota = finite_quotient(s)
-    labels: dict[int, int] = {}
-    class_of = [labels.setdefault(iota[x], len(labels)) for x in range(s.n)]
-    reps: list[int] = []
-    for x in range(s.n):
-        if class_of[x] == len(reps):
-            reps.append(x)
-    k = len(reps)
-    sigma_q = [[class_of[s.sigma[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
-    tau_q = [[class_of[s.tau[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
-    result = verify_solution(sigma_q, tau_q)
+    result, class_of = _quotient_solution(s, list(iota))
     assert is_injective(result)[0]
-    return result, tuple(class_of)
+    return result, class_of
 
 
 def permutation_image(s: Solution) -> tuple[int, int]:

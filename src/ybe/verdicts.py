@@ -19,11 +19,11 @@ from .derived import structure_racks
 from .errors import NotInvolutive
 from .fpgroups import (
     DEFAULT_COSET_CAP,
-    _exponent_matrix,
+    _membership,
+    _relator_snf,
     abelianization,
     finite_quotient,
     is_injective,
-    row_lattice_membership,
     structure_presentation,
 )
 from .words import degrees
@@ -116,8 +116,8 @@ def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> Orderabil
         # look for a generator pair whose difference dies in the
         # abelianization but survives with finite order in the quotient:
         # the class of x^{-1} y witnessing torsion
-        matrix = _exponent_matrix(structure_presentation(s))
-        in_lattice = row_lattice_membership(matrix, s.n)
+        # the SNF that gave the abelianization answers every membership query
+        in_lattice = _membership(_relator_snf(structure_presentation(s)), s.n)
         for x in range(s.n):
             for y in range(s.n):
                 g = fg.mult[fg.inv(iota[x])][iota[y]]
@@ -172,8 +172,7 @@ def involutive_orderability(s: Solution) -> InvolutiveVerdict:
     if not flags.involutive:
         raise NotInvolutive("this verdict applies to involutive solutions only")
     tower = mp_tower(s)
-    ident = tuple(range(s.n))
-    trivial = all(s.sigma[x] == ident and s.tau[x] == ident for x in range(s.n))
+    trivial = flags.self_distributive_right and flags.self_distributive_left
     lo = tower.mp_level is not None
     return InvolutiveVerdict(trivial, lo, lo, tower.mp_level)
 

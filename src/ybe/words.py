@@ -10,10 +10,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import perm
-from .core import Solution, invert_solution, is_biquandle, t_map_of
+from .core import Solution, invert_solution, is_biquandle, per_input, t_map_of
 from .errors import BoundExceeded, SignedWordOnNonBiquandle
 
 Word = tuple[tuple[int, int], ...]
@@ -34,19 +33,14 @@ def free_reduce(w: Word) -> Word:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_input
 def _tau_inv(s: Solution) -> tuple[perm.Perm, ...]:
     return tuple(perm.inverse(s.tau[y]) for y in range(s.n))
 
 
-@lru_cache(maxsize=None)
+@per_input
 def _sigma_inv(s: Solution) -> tuple[perm.Perm, ...]:
     return tuple(perm.inverse(s.sigma[x]) for x in range(s.n))
-
-
-@lru_cache(maxsize=None)
-def _inverse_solution(s: Solution) -> Solution:
-    return invert_solution(s)
 
 
 def act_right(s: Solution, x: int, w: Word) -> int:
@@ -106,10 +100,10 @@ def guitar_inverse(s: Solution, w: Word) -> Word:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@per_input
 def structure_rho(s: Solution) -> tuple[perm.Perm, ...]:
     """Right translations of the structure rack: rho_y = tau_y o tau^_y^{-1}."""
-    inv = _inverse_solution(s)
+    inv = invert_solution(s)
     return tuple(
         perm.compose(s.tau[y], perm.inverse(inv.tau[y])) for y in range(s.n)
     )
@@ -152,7 +146,7 @@ def _rack_degree(rho_y: perm.Perm) -> int:
     return o if o >= 2 else 2
 
 
-@lru_cache(maxsize=None)
+@per_input
 def degrees(s: Solution) -> DegreeTable:
     """Element degrees d_y and rack degrees D_y.
 

@@ -282,3 +282,21 @@ def test_labels_must_name_every_point(capsys, tmp_path, command):
     doc = {"schema": "ybe-solution/1", "n": 2, "sigma": [[0, 1], [0, 1]],
            "tau": [[0, 1], [0, 1]], "labels": ["a"]}
     _check_invalid(capsys, tmp_path, doc, command)
+
+
+@pytest.mark.parametrize("command", ["check", "analyze"])
+@pytest.mark.parametrize("doc", [
+    {"schema": "ybe-solution/1", "sigma": [[0]], "tau": None},
+    {"schema": "ybe-rack/1", "op": 5},
+    {"schema": "ybe-solution/1", "sigma": [[0]]},
+], ids=["null-tau", "scalar-op", "missing-tau"])
+def test_tables_must_be_lists_of_lists(capsys, tmp_path, doc, command):
+    _check_invalid(capsys, tmp_path, doc, command)
+
+
+@pytest.mark.parametrize("kind", ["rack", "all"])
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_census_size_below_one_is_a_usage_error(capsys, size, kind):
+    code, out, err = run(capsys, "enumerate", "--size", size, "--kind", kind)
+    assert code == EXIT_USAGE
+    assert out == "" and "census size" in err

@@ -7,6 +7,7 @@ from ybe import (
     cable,
     canonical_form,
     classify,
+    enumerate_racks,
     induced_biquandle,
     induced_quandle,
     invert_solution,
@@ -238,3 +239,24 @@ def test_structure_rack_commutes_with_biquandle_reduction(solution_fixtures):
         lhs = structure_racks(induced_biquandle(s)[0]).right
         rhs = induced_quandle(structure_racks(s).right)[0]
         assert are_isomorphic(lhs, rhs) is not None
+
+
+def test_unchecked_constructions_pass_the_checks(
+    fixture_and_sd_solutions, census_solutions, rack_fixtures, racks4
+):
+    # invert_solution, sd_solutions and the right structure rack skip
+    # validation because they are valid by construction; re-check them all
+    racks = list(rack_fixtures.values())
+    racks += [rk for n in (1, 2, 3) for rk in enumerate_racks(n).representatives]
+    racks += list(racks4.representatives)
+    solutions = list(fixture_and_sd_solutions) + list(census_solutions)
+    for rk in racks:
+        for sd in sd_solutions(rk):
+            assert verify_solution(sd.sigma, sd.tau) == sd
+            solutions.append(sd)
+    for s in solutions:
+        inv = invert_solution(s)
+        assert verify_solution(inv.sigma, inv.tau) == inv
+        assert invert_solution(inv) == s
+        right = structure_racks(s).right
+        assert verify_rack(right.op) == right

@@ -403,6 +403,8 @@ def test_closing_check_inverts_each_generator_once(monkeypatch):
     from ybe import perm
     from ybe.words import degrees
 
+    s = fixture_solution("solution/invol3-b")
+    relators = structure_presentation(s).relators + degrees(s).twisted_powers
     calls = []
     real_inverse = perm.inverse
 
@@ -411,11 +413,7 @@ def test_closing_check_inverts_each_generator_once(monkeypatch):
         return real_inverse(p)
 
     monkeypatch.setattr(perm, "inverse", counting_inverse)
-    s = fixture_solution("solution/invol3-b")
-    pres = structure_presentation(s)
-    actions = coset_enumeration(
-        Presentation(s.n, pres.relators + degrees(s).twisted_powers)
-    )
+    actions = coset_enumeration(Presentation(s.n, relators))
     assert len(actions[0]) == 216
     assert len(calls) <= s.n
 
@@ -452,10 +450,8 @@ def test_quotient_cache_ignores_how_the_cap_is_spelled(monkeypatch):
         return real_enumeration(*args, **kwargs)
 
     monkeypatch.setattr(fpgroups, "coset_enumeration", counting_enumeration)
-    finite_quotient.cache_clear()
-    rack_finite_quotient.cache_clear()
     cap = fpgroups.DEFAULT_COSET_CAP
-    s = fixture_solution("solution/invol3-b")
+    s = fixture_solution("solution/invol3-b")  # a fresh object, with an empty memo
     assert finite_quotient(s) == finite_quotient(s, cap) == finite_quotient(s, coset_cap=cap)
     assert len(calls) == 1
     rk = fixture_rack("rack/dihedral3")
@@ -463,3 +459,14 @@ def test_quotient_cache_ignores_how_the_cap_is_spelled(monkeypatch):
     assert first == rack_finite_quotient(rk, "right", cap) == rack_finite_quotient(rk, coset_cap=cap)
     assert first == rack_finite_quotient(rk, variant="right")
     assert len(calls) == 2
+
+
+def test_quotient_memo_keeps_one_entry_per_cap():
+    s = fixture_solution("solution/invol3-b")
+    assert finite_quotient(s)[0].order == 216
+    with pytest.raises(CosetLimitExceeded):
+        finite_quotient(s, 100)
+    before = finite_quotient.cache_info()
+    assert finite_quotient(s)[0].order == 216
+    after = finite_quotient.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)

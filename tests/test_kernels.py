@@ -218,3 +218,24 @@ def test_cable_makes_no_word_action_calls(monkeypatch):
     c = cable(s, 2)
     assert c.n == 97
     assert len(calls) == 0
+
+
+def test_cable_validates_only_its_output(monkeypatch):
+    from collections import Counter
+
+    from ybe import core
+
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in ("_ybe_witness", "_sd_witness"):
+        monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
+    sigma, tau = _affine_sd(13, 3)
+    c = cable(Solution(13, sigma, tau), 2)
+    assert c.n == 13
+    assert calls == {"_ybe_witness": 1}

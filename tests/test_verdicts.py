@@ -228,3 +228,48 @@ def test_biorderability_diagonalizes_a_constant_number_of_times(monkeypatch):
     assert verdict.certificate[0] == "ab_torsion"
     # the abelianization and one SNF shared by all membership queries
     assert len(calls) <= 2
+
+
+def test_analyze_computes_each_derived_object_once(monkeypatch):
+    from collections import Counter
+
+    from ybe import core, fpgroups
+
+    calls = Counter()
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    n = 8
+    shift = [(v + 1) % n for v in range(n)]
+    s = verify_solution([shift] * n, [shift] * n)  # r(x, y) = (y + 1, x + 1)
+    for module, name in ((fpgroups, "_snf_diagonalize"), (core, "_ybe_witness"),
+                         (core, "_sd_witness")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    report = analyze(s)
+    assert report.quotient_order == 4
+    # one SNF serves the abelianization, biorderability and its membership queries
+    assert calls["_snf_diagonalize"] == 1
+    # the inverse and the structure rack are not validated again; the induced
+    # biquandle and the retraction are quotients, which are
+    assert calls["_sd_witness"] == 0
+    assert calls["_ybe_witness"] <= 2
+
+
+def test_derived_values_live_as_long_as_their_input():
+    import gc
+    import weakref
+
+    # inputs no other test builds, so no equal object is cached anywhere
+    shift = [(v + 1) % 7 for v in range(7)]
+    s = verify_solution([shift] * 7, [shift] * 7)
+    rk = verify_rack([[(3 * x - 2 * y) % 7 for y in range(7)] for x in range(7)])
+    analyze(s)
+    sd_dichotomy(rk)
+    refs = [weakref.ref(s), weakref.ref(rk)]
+    del s, rk
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
