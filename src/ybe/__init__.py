@@ -37,9 +37,7 @@ from .fpgroups import (
     finite_quotient,
     induced_injective_solution,
     is_injective,
-    permutation_image,
     rack_finite_quotient,
-    reference_group,
     structure_presentation,
 )
 from .verdicts import (

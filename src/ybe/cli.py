@@ -25,7 +25,7 @@ from .fixtures import (
     fixture_document,
     object_from_document,
 )
-from .fpgroups import DEFAULT_COSET_CAP, FiniteGroup, finite_quotient, rack_finite_quotient
+from .fpgroups import DEFAULT_COSET_CAP, finite_quotient, rack_finite_quotient
 from .verdicts import analyze, sd_dichotomy
 
 EXIT_OK = 0

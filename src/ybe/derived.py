@@ -136,6 +136,7 @@ def retraction(s: Solution) -> tuple[Solution, tuple[int, ...]]:
     return _quotient_solution(s, [(s.sigma[x], s.tau[x]) for x in range(s.n)])
 
 
+@per_input
 def mp_level(s: Solution) -> RetractionTower:
     """Iterate retraction until the size stabilizes.
 

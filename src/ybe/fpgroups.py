@@ -1,13 +1,15 @@
 """Finitely presented groups: structure presentations, abelianization via
 Smith normal form, Todd-Coxeter coset enumeration, the canonical finite
-quotient, injectivity testing, and reference group constructions."""
+quotient and injectivity testing.
+
+A finite quotient is held as its generators' action on its cosets; its
+fingerprint and the verdicts read that action and the quotient's own
+presentation, and the multiplication table is built only to be printed."""
 
 from __future__ import annotations
 
-import itertools
 import math
-import random
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
@@ -15,7 +17,7 @@ from typing import Callable, Sequence
 from . import perm
 from .core import _MEMO, Rack, Solution, is_biquandle, per_input, sd_solutions
 from .derived import _quotient_solution, induced_biquandle
-from .errors import CosetLimitExceeded, UnknownName
+from .errors import CosetLimitExceeded
 from .words import Word, _rack_degree, degrees, free_reduce
 
 DEFAULT_COSET_CAP = 10**6
@@ -68,12 +70,15 @@ def _snf_diagonalize(mat: list[list[int]], ncols: int) -> tuple[list[int], list[
     diag = []
     r = 0
     while r < m and r < ncols:
-        # locate the entry of smallest absolute value in the working block
-        pivot = None
+        # locate the first entry of smallest absolute value in the working
+        # block; nothing beats a unit, so the scan stops at the first one
+        pivot, best = None, 0
         for i in range(r, m):
             for j in range(r, ncols):
-                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
+                if a[i][j] != 0 and (pivot is None or abs(a[i][j]) < best):
+                    pivot, best = (i, j), abs(a[i][j])
+            if best == 1:
+                break
         if pivot is None:
             break
         pi, pj = pivot
@@ -325,217 +330,158 @@ def coset_enumeration(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> list[per
 
 
 # ---------------------------------------------------------------------------
-# Finite groups as multiplication tables
+# Finite groups as regular coset actions (Holt, Eick and O'Brien, Handbook of
+# Computational Group Theory, 2005, chapters 4 and 5)
 
 
 @dataclass(frozen=True)
 class FiniteGroup:
-    order: int
-    mult: tuple[tuple[int, ...], ...]
-    gen_images: tuple[int, ...] = field(default=())
+    """The finite group of `presentation`, held as the action of its
+    generators on its own elements, the cosets of the trivial subgroup.
 
-    def __post_init__(self):
-        assert self.mult[0] == tuple(range(self.order))  # 0 is the identity
-        assert all(self.mult[a][0] == a for a in range(self.order))
-        rng = random.Random(0)
-        for _ in range(min(64, self.order**3)):
-            a, b, c = (rng.randrange(self.order) for _ in range(3))
-            assert self.mult[self.mult[a][b]][c] == self.mult[a][self.mult[b][c]]
-        assert all(0 in row for row in self.mult)  # inverses exist
+    Coset c is the element g_c with 0.g_c = c, so coset 0 is the identity and
+    actions[x] is right multiplication by generator x.  A breadth-first
+    Schreier tree from coset 0 spells each g_c as a word in the generators;
+    products, inverses and orders are traced along the actions, and the
+    N x N table `mult` is built only when it is asked for.
+    """
+
+    actions: tuple[perm.Perm, ...]
+    presentation: Presentation
 
     @cached_property
-    def _inverses(self) -> tuple[int, ...]:
-        return tuple(row.index(0) for row in self.mult)
+    def order(self) -> int:
+        return len(self.actions[0]) if self.actions else 1
+
+    @cached_property
+    def gen_images(self) -> tuple[int, ...]:
+        return tuple(act[0] for act in self.actions)
+
+    @cached_property
+    def _symbols(self) -> tuple[perm.Perm, ...]:
+        """Right multiplication by symbol 2x (generator x) and 2x+1 (its inverse)."""
+        return tuple(a for act in self.actions for a in (act, perm.inverse(act)))
+
+    @cached_property
+    def _tree(self) -> tuple[list[int], list[int], list[int]]:
+        """(the cosets in breadth-first order, the parent of each coset in
+        the tree, and the symbol on the edge from that parent)."""
+        parent, edge = [-1] * self.order, [-1] * self.order
+        parent[0] = 0
+        bfs = [0]
+        for c in bfs:
+            for s, act in enumerate(self._symbols):
+                d = act[c]
+                if parent[d] < 0:
+                    parent[d], edge[d] = c, s
+                    bfs.append(d)
+        return bfs, parent, edge
+
+    def _word(self, c: int) -> list[int]:
+        """The symbols of g_c, from coset 0 down the tree to c."""
+        _, parent, edge = self._tree
+        word = []
+        while c:
+            word.append(edge[c])
+            c = parent[c]
+        return word[::-1]
+
+    def _trace(self, c: int, word: list[int]) -> int:
+        for s in word:
+            c = self._symbols[s][c]
+        return c
+
+    def mul(self, a: int, b: int) -> int:
+        return self._trace(a, self._word(b))
 
     def inv(self, a: int) -> int:
-        return self._inverses[a]
+        # g_a^-1 spells the word of g_a backwards, each symbol inverted
+        return self._trace(0, [s ^ 1 for s in reversed(self._word(a))])
 
     def element_order(self, a: int) -> int:
-        k, cur = 1, a
-        while cur != 0:
-            cur = self.mult[cur][a]
+        word, k, c = self._word(a), 1, a
+        while c:
+            c = self._trace(c, word)
             k += 1
         return k
 
-    def subgroup_closure(self, seeds) -> frozenset[int]:
-        seen = {0} | set(seeds)
-        frontier = list(seen)
-        while frontier:
-            nxt = []
-            for a in frontier:
-                for b in list(seeds) + [self.inv(a)]:
-                    c = self.mult[a][b]
-                    if c not in seen:
-                        seen.add(c)
-                        nxt.append(c)
-            frontier = nxt
-        return frozenset(seen)
-
     @cached_property
-    def derived_subgroup(self) -> frozenset[int]:
-        comms = {
-            self.mult[self.mult[self.inv(a)][self.inv(b)]][self.mult[a][b]]
-            for a in range(self.order)
-            for b in range(self.order)
-        }
-        return self.subgroup_closure(comms)
-
-    @cached_property
-    def center_order(self) -> int:
-        return sum(
-            1
-            for a in range(self.order)
-            if all(self.mult[a][b] == self.mult[b][a] for b in range(self.order))
-        )
+    def abelian_invariants(self) -> tuple[int, ...]:
+        """Invariant factors of the abelianization: the cokernel of the
+        relators' exponent matrix, finite and of order dividing the group's."""
+        p = self.presentation
+        free_rank, torsion = _cokernel(_relator_snf(p)[0], p.generator_count)
+        if free_rank or self.order % math.prod(torsion):
+            raise ValueError("the presentation does not present this coset action")
+        return torsion
 
     @property
     def is_abelian(self) -> bool:
-        return len(self.derived_subgroup) == 1
-
-    def conjugacy_class_sizes(self) -> tuple[int, ...]:
-        seen = [False] * self.order
-        sizes = []
-        for a in range(self.order):
-            if seen[a]:
-                continue
-            cls = {self.mult[self.mult[g][a]][self.inv(g)] for g in range(self.order)}
-            for c in cls:
-                seen[c] = True
-            sizes.append(len(cls))
-        return tuple(sorted(sizes))
-
-    def quotient(self, normal: frozenset[int]) -> "FiniteGroup":
-        """Quotient by a normal subgroup, as a new multiplication table."""
-        coset_of: dict[int, int] = {}
-        reps: list[int] = []
-        for a in range(self.order):
-            if a in coset_of:
-                continue
-            idx = len(reps)
-            reps.append(a)
-            for h in normal:
-                coset_of[self.mult[a][h]] = idx
-        # force the identity coset to index 0
-        if coset_of[0] != 0:
-            zero = coset_of[0]
-            swap = {zero: 0, 0: zero}
-            coset_of = {a: swap.get(c, c) for a, c in coset_of.items()}
-            reps[0], reps[zero] = reps[zero], reps[0]
-        k = len(reps)
-        mult = tuple(
-            tuple(coset_of[self.mult[reps[a]][reps[b]]] for b in range(k))
-            for a in range(k)
-        )
-        return FiniteGroup(k, mult, tuple(coset_of[g] for g in self.gen_images))
-
-    @cached_property
-    def abelian_invariants(self) -> tuple[int, ...]:
-        """Invariant factors of the abelianization of this group."""
-        ab = self.quotient(self.derived_subgroup)
-        return _abelian_group_invariants(ab)
+        return math.prod(self.abelian_invariants) == self.order
 
     @cached_property
     def fingerprint(self) -> tuple:
-        element_orders = tuple(sorted(self.element_order(a) for a in range(self.order)))
+        """(order, abelian invariants, element orders, centre order, derived
+        subgroup order, conjugacy class sizes).
+
+        The left multiplication c -> x.g_c by a generator x is filled in down
+        the tree, as x.g_c = (x.g_parent).s for the edge symbol s.  g_c is
+        central when x.g_c = g_c.x for every generator x.  Since x.g and g.x
+        are conjugate, joining the two for every g and x gives the conjugacy
+        classes, and an element order is traced once per class.  The derived
+        subgroup has index |abelianization|.
+        """
+        bfs, parent, edge = self._tree
+        n, sym = self.order, self._symbols
+        central = [True] * n
+        root = list(range(n))  # union-find forest; a root is its class's least coset
+
+        def find(c: int) -> int:
+            while root[c] != c:
+                root[c] = root[root[c]]
+                c = root[c]
+            return c
+
+        for act in self.actions:
+            left = [act[0]] * n
+            for c in bfs[1:]:
+                left[c] = sym[edge[c]][left[parent[c]]]
+            for c in range(n):
+                if left[c] != act[c]:
+                    central[c] = False
+                    a, b = find(left[c]), find(act[c])
+                    root[max(a, b)] = min(a, b)
+        classes = Counter(find(c) for c in range(n))
+        orders = []
+        for c, size in classes.items():
+            orders += [self.element_order(c)] * size
+        ab = self.abelian_invariants
         return (
-            self.order,
-            self.abelian_invariants,
-            element_orders,
-            self.center_order,
-            len(self.derived_subgroup),
-            self.conjugacy_class_sizes(),
+            n,
+            ab,
+            tuple(sorted(orders)),
+            sum(central),
+            n // math.prod(ab),
+            tuple(sorted(classes.values())),
         )
 
+    @cached_property
+    def mult(self) -> tuple[tuple[int, ...], ...]:
+        """The Cayley table: mult[a][b] is the coset of g_a.g_b.
 
-def _abelian_group_invariants(g: FiniteGroup) -> tuple[int, ...]:
-    """Invariant factors of a finite abelian group via per-prime order counts.
-
-    For each prime p, the number of elements of order dividing p^k is
-    p^(sum_i min(lambda_i, k)) where lambda is the partition of the p-part;
-    successive count ratios recover the number of parts >= k.
-    """
-    assert g.is_abelian
-    orders = [g.element_order(a) for a in range(g.order)]
-    prime_parts: dict[int, list[int]] = {}
-    for p in _prime_factors(g.order):
-        parts_ge: list[int] = []  # parts_ge[k-1] = number of parts >= k
-        prev = 1
-        k = 1
-        while True:
-            count = sum(1 for o in orders if p**k % o == 0)
-            ratio = count // prev
-            e = 0
-            while ratio > 1:
-                ratio //= p
-                e += 1
-            if e == 0:
-                break
-            parts_ge.append(e)
-            prev = count
-            k += 1
-        sizes = []
-        for i, cnt in enumerate(parts_ge):
-            nxt = parts_ge[i + 1] if i + 1 < len(parts_ge) else 0
-            sizes += [i + 1] * (cnt - nxt)
-        prime_parts[p] = sorted((p**e for e in sizes), reverse=True)
-    nfactors = max((len(v) for v in prime_parts.values()), default=0)
-    invariants = []
-    for i in range(nfactors):
-        d = 1
-        for p, powers in prime_parts.items():
-            if i < len(powers):
-                d *= powers[i]
-        invariants.append(d)
-    return tuple(sorted(invariants))
+        Column b is right multiplication by g_b, composed down the tree.
+        """
+        bfs, parent, edge = self._tree
+        columns = [perm.identity(self.order)] * self.order
+        for c in bfs[1:]:
+            columns[c] = perm.compose(self._symbols[edge[c]], columns[parent[c]])
+        return tuple(zip(*columns))
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-def group_from_actions(actions: list[perm.Perm]) -> FiniteGroup:
-    """The group whose regular representation is a transitive coset action.
-
-    Coset 0 is the identity; each coset is the image of 0 under a unique
-    group element, recovered as a word in the generators by breadth-first
-    search, so mult[i][j] traces j's word starting from coset i.
-    """
-    ncos = len(actions[0]) if actions else 1
-    inv_actions = [perm.inverse(a) for a in actions]
-    word: list[list[tuple[int, int]] | None] = [None] * ncos
-    word[0] = []
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for g, act in enumerate(actions):
-                for d, sign in ((act[c], 1), (inv_actions[g][c], -1)):
-                    if word[d] is None:
-                        word[d] = word[c] + [(g, sign)]
-                        nxt.append(d)
-        frontier = nxt
-    assert all(w is not None for w in word)
-
-    def trace(start: int, w: list[tuple[int, int]]) -> int:
-        for g, sign in w:
-            start = actions[g][start] if sign > 0 else inv_actions[g][start]
-        return start
-
-    mult = tuple(
-        tuple(trace(i, word[j]) for j in range(ncos)) for i in range(ncos)
-    )
-    gen_images = tuple(act[0] for act in actions)
-    return FiniteGroup(ncos, mult, gen_images)
+def group_from_actions(actions: Sequence[perm.Perm], presentation: Presentation) -> FiniteGroup:
+    """The group of a presentation from its generators' transitive action on
+    the cosets of the trivial subgroup, coset 0 being the identity."""
+    return FiniteGroup(tuple(actions), presentation)
 
 
 # ---------------------------------------------------------------------------
@@ -557,11 +503,8 @@ def finite_quotient(
         bq, proj = induced_biquandle(s)
         fg, iota = finite_quotient(bq, coset_cap)
         return fg, tuple(iota[proj[x]] for x in range(s.n))
-    pres = structure_presentation(s)
-    deg = degrees(s)
-    relators = pres.relators + deg.twisted_powers
-    actions = coset_enumeration(Presentation(s.n, relators), coset_cap)
-    fg = group_from_actions(actions)
+    quotient = Presentation(s.n, structure_presentation(s).relators + degrees(s).twisted_powers)
+    fg = group_from_actions(coset_enumeration(quotient, coset_cap), quotient)
     return fg, fg.gen_images
 
 
@@ -577,10 +520,8 @@ def rack_finite_quotient(
     power_relators = tuple(
         tuple((x, 1) for _ in range(_rack_degree(rk.rho(x)))) for x in range(rk.n)
     )
-    actions = coset_enumeration(
-        Presentation(rk.n, pres.relators + power_relators), coset_cap
-    )
-    return group_from_actions(actions)
+    quotient = Presentation(rk.n, pres.relators + power_relators)
+    return group_from_actions(coset_enumeration(quotient, coset_cap), quotient)
 
 
 def is_injective(
@@ -601,130 +542,3 @@ def induced_injective_solution(s: Solution) -> tuple[Solution, tuple[int, ...]]:
     result, class_of = _quotient_solution(s, list(iota))
     assert is_injective(result)[0]
     return result, class_of
-
-
-def permutation_image(s: Solution) -> tuple[int, int]:
-    """Order of the permutation group generated by the paired actions
-    (tau_x on one copy of X, sigma_x on another); equals the index of the
-    connected kernel Z0 in the structure group."""
-    n = s.n
-    gens = [
-        tuple(list(s.tau[x]) + [n + v for v in s.sigma[x]]) for x in range(n)
-    ]
-    order = len(perm.closure(gens))
-    return order, order
-
-
-# ---------------------------------------------------------------------------
-# Reference groups
-
-
-def _table_from_elements(elements: list, op) -> FiniteGroup:
-    index = {e: i for i, e in enumerate(elements)}
-    mult = tuple(
-        tuple(index[op(a, b)] for b in elements) for a in elements
-    )
-    return FiniteGroup(len(elements), mult)
-
-
-def _cyclic(m: int) -> FiniteGroup:
-    return _table_from_elements(list(range(m)), lambda a, b: (a + b) % m)
-
-
-def _elementary_abelian(p: int, k: int) -> FiniteGroup:
-    elements = sorted(itertools.product(range(p), repeat=k))
-    elements.remove(tuple([0] * k))
-    elements.insert(0, tuple([0] * k))
-    return _table_from_elements(
-        elements, lambda a, b: tuple((ai + bi) % p for ai, bi in zip(a, b))
-    )
-
-
-def _dihedral(order: int) -> FiniteGroup:
-    if order % 2 != 0 or order < 2:
-        raise UnknownName(f"dihedral groups have even order, got {order}")
-    m = order // 2
-
-    def op(a, b):
-        i, si = a
-        j, sj = b
-        return ((i + (j if si == 0 else -j)) % m, si ^ sj)
-
-    elements = [(i, s) for s in (0, 1) for i in range(m)]
-    return _table_from_elements(elements, op)
-
-
-def _symmetric(m: int) -> FiniteGroup:
-    elements = sorted(itertools.permutations(range(m)))
-    return _table_from_elements(elements, perm.compose)
-
-
-def _gl23() -> FiniteGroup:
-    mats = []
-    for entries in itertools.product(range(3), repeat=4):
-        a, b, c, d = entries
-        if (a * d - b * c) % 3 != 0:
-            mats.append((a, b, c, d))
-    ident = (1, 0, 0, 1)
-    mats.remove(ident)
-    mats.insert(0, ident)
-
-    def op(x, y):
-        a, b, c, d = x
-        e, f, g, h = y
-        return ((a * e + b * g) % 3, (a * f + b * h) % 3,
-                (c * e + d * g) % 3, (c * f + d * h) % 3)
-
-    return _table_from_elements(mats, op)
-
-
-def _direct_product(g: FiniteGroup, h: FiniteGroup) -> FiniteGroup:
-    order = g.order * h.order
-
-    def pair(a):
-        return divmod(a, h.order)
-
-    mult = tuple(
-        tuple(
-            g.mult[pair(a)[0]][pair(b)[0]] * h.order + h.mult[pair(a)[1]][pair(b)[1]]
-            for b in range(order)
-        )
-        for a in range(order)
-    )
-    return FiniteGroup(order, mult)
-
-
-def reference_group(name: str) -> FiniteGroup:
-    """Explicit small groups used as isomorphism-fingerprint oracles.
-
-    Accepted names: "trivial", "cyclic m", "elementary_abelian p^k",
-    "dihedral m" (m = order), "symmetric m", "GL(2,3)", and direct products
-    joined with " x ".  The semidirect products occurring in practice
-    (e.g. a cyclic group of order 4 extended by an inverting involution)
-    are dihedral and should be requested as such.
-    """
-    name = name.strip()
-    if " x " in name:
-        parts = name.split(" x ")
-        g = reference_group(parts[0])
-        for part in parts[1:]:
-            g = _direct_product(g, reference_group(part))
-        return g
-    if name == "trivial":
-        return _cyclic(1)
-    if name == "GL(2,3)":
-        return _gl23()
-    tokens = name.split()
-    try:
-        if tokens[0] == "cyclic":
-            return _cyclic(int(tokens[1]))
-        if tokens[0] == "elementary_abelian":
-            p, k = tokens[1].split("^")
-            return _elementary_abelian(int(p), int(k))
-        if tokens[0] == "dihedral":
-            return _dihedral(int(tokens[1]))
-        if tokens[0] == "symmetric":
-            return _symmetric(int(tokens[1]))
-    except (IndexError, ValueError) as exc:
-        raise UnknownName(name) from exc
-    raise UnknownName(name)

@@ -120,7 +120,7 @@ def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> Orderabil
         in_lattice = _membership(_relator_snf(structure_presentation(s)), s.n)
         for x in range(s.n):
             for y in range(s.n):
-                g = fg.mult[fg.inv(iota[x])][iota[y]]
+                g = fg.mul(fg.inv(iota[x]), iota[y])
                 if g == 0:
                     continue
                 diff = [0] * s.n
@@ -136,7 +136,7 @@ def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> Orderabil
         return OrderabilityVerdict(False, ("rank_mismatch", k, K))
     for x in range(s.n):
         for y in range(s.n):
-            if fg.mult[iota[x]][iota[y]] != fg.mult[iota[y]][iota[x]]:
+            if fg.mul(iota[x], iota[y]) != fg.mul(iota[y], iota[x]):
                 return OrderabilityVerdict(False, ("noncommuting", x, y))
     return OrderabilityVerdict(False, ("not_free_abelian",))
 

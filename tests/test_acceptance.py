@@ -31,7 +31,6 @@ from ybe import (
     mp_level,
     rack_finite_quotient,
     rack_orbits,
-    reference_group,
     rho_of_word,
     sd_dichotomy,
     sd_solutions,
@@ -46,6 +45,8 @@ from ybe.fixtures import fixture_names, fixture_object, fixture_rack, fixture_so
 from ybe.fpgroups import Presentation, coset_enumeration, group_from_actions
 from ybe.words import act_right
 from ybe import perm
+
+from table_groups import reference_group
 
 
 def quotient_fingerprint_matches(fg, name: str) -> bool:
@@ -260,8 +261,8 @@ def rack_group_order_with_solution_degrees(s: Solution) -> int:
     sol = sd_solutions(rk)[1]
     pres = structure_presentation(sol)
     powers = tuple(tuple((x, 1) for _ in range(d[x])) for x in range(rk.n))
-    actions = coset_enumeration(Presentation(rk.n, pres.relators + powers))
-    return group_from_actions(actions).order
+    quotient = Presentation(rk.n, pres.relators + powers)
+    return group_from_actions(coset_enumeration(quotient), quotient).order
 
 
 def test_criterion_7_order_identity(all_fixture_objects):

@@ -300,3 +300,29 @@ def test_census_size_below_one_is_a_usage_error(capsys, size, kind):
     code, out, err = run(capsys, "enumerate", "--size", size, "--kind", kind)
     assert code == EXIT_USAGE
     assert out == "" and "census size" in err
+
+
+@pytest.mark.parametrize(
+    "argv, builds_table",
+    [
+        (("analyze", "rack/12pt-gl23"), False),
+        (("analyze", "--json", "solution/dihedral3-b"), False),
+        (("quotient", "rack/12pt-gl23"), False),
+        (("quotient", "solution/dihedral3-b"), False),
+        (("quotient", "--table", "solution/dihedral3-b"), True),
+    ],
+)
+def test_only_quotient_table_builds_the_multiplication_table(capsys, monkeypatch, argv, builds_table):
+    from ybe import fpgroups
+
+    groups = []
+    real = fpgroups.group_from_actions
+
+    def keeping(*args):
+        groups.append(real(*args))
+        return groups[-1]
+
+    monkeypatch.setattr(fpgroups, "group_from_actions", keeping)
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK and groups
+    assert ["mult" in vars(fg) for fg in groups] == [builds_table] * len(groups)

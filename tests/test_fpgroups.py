@@ -1,5 +1,5 @@
 """Presentations, abelianization, coset enumeration, finite quotients,
-injectivity, and reference groups."""
+injectivity, and the table oracle with its reference groups."""
 
 import random
 
@@ -13,9 +13,7 @@ from ybe import (
     finite_quotient,
     induced_injective_solution,
     is_injective,
-    permutation_image,
     rack_finite_quotient,
-    reference_group,
     sd_solutions,
     structure_presentation,
     verify_solution,
@@ -31,6 +29,8 @@ from ybe.fpgroups import (
     smith_invariants,
 )
 from ybe.words import word_of
+
+from table_groups import TableGroup, dense, reference_group
 
 
 def test_structure_presentation_of_trivial_flip():
@@ -133,7 +133,7 @@ def test_coset_enumeration_symmetric_group():
     pres = Presentation(
         2, (word_of(0, 0), word_of(1, 1), word_of(0, 1, 0, 1, 0, 1))
     )
-    fg = group_from_actions(coset_enumeration(pres))
+    fg = group_from_actions(coset_enumeration(pres), pres)
     assert fg.fingerprint == reference_group("symmetric 3").fingerprint
 
 
@@ -144,7 +144,7 @@ def test_coset_cap_enforced():
 
 
 def test_group_from_actions_identity_coset():
-    fg = group_from_actions([(1, 2, 0)])
+    fg = group_from_actions([(1, 2, 0)], Presentation(1, (word_of(0, 0, 0),)))
     assert fg.order == 3
     assert fg.element_order(fg.gen_images[0]) == 3
 
@@ -238,7 +238,7 @@ def test_quotient_generators_generate(solution_fixtures):
         if s.n > 4:
             continue
         fg, iota = finite_quotient(s)
-        assert len(fg.subgroup_closure(iota)) == fg.order, name
+        assert len(dense(fg).subgroup_closure(iota)) == fg.order, name
 
 
 def test_quotient_of_one_point_solution():
@@ -328,13 +328,6 @@ def test_induced_injective_solution():
     d = fixture_solution("solution/dihedral3-sd")
     same, cls_d = induced_injective_solution(d)
     assert same == d and cls_d == (0, 1, 2)
-
-
-def test_permutation_image_orders():
-    ident = [[0, 1], [0, 1]]
-    assert permutation_image(verify_solution(ident, ident)) == (1, 1)
-    assert permutation_image(fixture_solution("solution/twisted-flip2")) == (2, 2)
-    assert permutation_image(fixture_solution("solution/dihedral3-sd")) == (6, 6)
 
 
 def test_quotient_word_length_reachability():
@@ -427,7 +420,7 @@ def test_fingerprint_scans_each_row_for_the_identity_once():
             return super().index(value, *args)
 
     fg = rack_finite_quotient(fixture_rack("rack/12pt-gl23"))
-    counted = FiniteGroup(fg.order, tuple(Row(r) for r in fg.mult), fg.gen_images)
+    counted = TableGroup(fg.order, tuple(Row(r) for r in fg.mult), fg.gen_images)
     assert counted.fingerprint == fg.fingerprint
     assert len(scans) == len(set(scans)) <= fg.order
 
@@ -470,3 +463,62 @@ def test_quotient_memo_keeps_one_entry_per_cap():
     assert finite_quotient(s)[0].order == 216
     after = finite_quotient.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+
+
+# -- the coset action against the table oracle ------------------------------
+
+
+def _affine_sd(p, a):
+    """The right SD solution of the affine quandle x > y = a x + (1 - a) y on Z_p."""
+    ident = list(range(p))
+    tau = [[(a * x + (1 - a) * y) % p for x in range(p)] for y in range(p)]
+    return verify_solution([ident] * p, tau)
+
+
+def _lyubashenko(n):
+    shift = [(v + 1) % n for v in range(n)]
+    return verify_solution([shift] * n, [shift] * n)
+
+
+def _agrees_with_table(fg, label):
+    table = dense(fg)
+    assert fg.fingerprint == table.fingerprint, label
+    assert fg.is_abelian is table.is_abelian, label
+    assert fg.abelian_invariants == table.abelian_invariants, label
+    elements = range(fg.order) if fg.order <= 64 else range(0, fg.order, fg.order // 64)
+    for a in elements:
+        assert fg.inv(a) == table.inv(a), (label, a)
+        assert fg.element_order(a) == table.element_order(a), (label, a)
+        for b in elements:
+            assert fg.mul(a, b) == fg.mult[a][b], (label, a, b)
+
+
+def test_fingerprint_matches_the_table_oracle(
+    fixture_and_sd_solutions, census_solutions, rack_fixtures
+):
+    for s in list(fixture_and_sd_solutions) + list(census_solutions):
+        _agrees_with_table(finite_quotient(s)[0], s)
+    for name, rk in rack_fixtures.items():
+        _agrees_with_table(rack_finite_quotient(rk), name)
+
+
+def test_fingerprint_matches_the_table_oracle_on_benchmark_inputs():
+    # the quotient and analyze inputs of the benchmark's groups workload:
+    # affine quandles of index p * ord_p(a) up to 342, GL(2,3), Lyubashenko
+    for p, a in [(31, -1), (11, 2), (13, 2), (17, 3), (19, 2)]:
+        fg, _ = finite_quotient(_affine_sd(p, a))
+        _agrees_with_table(fg, (p, a))
+    fg = rack_finite_quotient(fixture_rack("rack/12pt-gl23"))
+    assert fg.fingerprint == reference_group("GL(2,3)").fingerprint
+    _agrees_with_table(fg, "GL(2,3)")
+    for n in (16, 20, 24):
+        _agrees_with_table(finite_quotient(_lyubashenko(n))[0], n)
+
+
+def test_mismatched_presentation_is_rejected():
+    three_cycle = [(1, 2, 0)]
+    for relators in ((), (word_of(0, 0),)):  # Z, and Z/2 of order not dividing 3
+        fg = FiniteGroup(tuple(three_cycle), Presentation(1, relators))
+        with pytest.raises(ValueError):
+            fg.fingerprint
+

@@ -236,10 +236,13 @@ def test_analyze_computes_each_derived_object_once(monkeypatch):
     from ybe import core, fpgroups
 
     calls = Counter()
+    snf_matrices = []
 
     def counting(name, real):
         def wrapper(*args):
             calls[name] += 1
+            if name == "_snf_diagonalize":
+                snf_matrices.append(tuple(map(tuple, args[0])))
             return real(*args)
         return wrapper
 
@@ -251,8 +254,13 @@ def test_analyze_computes_each_derived_object_once(monkeypatch):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     report = analyze(s)
     assert report.quotient_order == 4
-    # one SNF serves the abelianization, biorderability and its membership queries
-    assert calls["_snf_diagonalize"] == 1
+    # one SNF of the structure relators serves the abelianization,
+    # biorderability and its membership queries; the finite quotient's own
+    # relators (here those of the induced biquandle, with its twisted powers)
+    # get one SNF for the quotient's abelian invariants
+    structure = tuple(map(tuple, fpgroups._exponent_matrix(fpgroups.structure_presentation(s))))
+    assert calls["_snf_diagonalize"] == len(set(snf_matrices)) == 2
+    assert structure in snf_matrices
     # the inverse and the structure rack are not validated again; the induced
     # biquandle and the retraction are quotients, which are
     assert calls["_sd_witness"] == 0
@@ -273,3 +281,24 @@ def test_derived_values_live_as_long_as_their_input():
     del s, rk
     gc.collect()
     assert [ref() for ref in refs] == [None, None]
+
+
+def test_analyze_builds_the_retraction_tower_once(monkeypatch):
+    from ybe import core, derived
+
+    s = fixture_solution("solution/4pt-irretractable")  # loaded and validated here
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    monkeypatch.setattr(derived, "retraction", counting("retraction", derived.retraction))
+    monkeypatch.setattr(core, "_ybe_witness", counting("_ybe_witness", core._ybe_witness))
+    report = analyze(s)
+    assert report.mp_level is None and report.bi_orderable == "no"
+    # mp_level and involutive_orderability share one tower; its single
+    # level is a quotient solution, validated once
+    assert sorted(calls) == ["_ybe_witness", "retraction"]
