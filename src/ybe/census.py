@@ -9,7 +9,7 @@ from itertools import product
 from typing import Optional, Union
 
 from . import perm
-from .core import Rack, Solution, verify_rack, verify_solution
+from .core import Rack, Solution
 from .core import _is_biquandle_tables, _is_involutive, _pair_bijective, _ybe_witness
 from .derived import canonical_form, structure_racks
 from .errors import SizeTooLarge
@@ -84,8 +84,6 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
                 backtrack(k + 1)
 
     backtrack(0)
-    for rk in valid[: min(len(valid), 5)]:
-        verify_rack(rk.op)  # spot re-validation of the fast search
     reps, sizes = _dedupe(valid)
     return Census(n, "quandle" if quandles_only else "rack", tuple(reps), tuple(sizes))
 
@@ -117,8 +115,6 @@ def enumerate_solutions(
             if _ybe_witness(sigma, tau, n) is not None:
                 continue
             valid.append(Solution(n, sigma, tau))
-    for s in valid[: min(len(valid), 5)]:
-        verify_solution(s.sigma, s.tau)  # spot re-validation
     reps, sizes = _dedupe(valid)
     kind = {None: "all-solutions", "involutive": "involutive", "biquandle": "biquandle"}
     return Census(n, kind[restrict], tuple(reps), tuple(sizes))

@@ -1,24 +1,20 @@
 """Structures derived from a solution: structure racks, induced quotients,
-retraction tower, cabling, and isomorphism testing."""
+retraction tower, cabling, and isomorphism testing.
+
+Every construction here returns a solution or rack by theorem, so each is
+built with the plain Solution / Rack constructor and is not validated again;
+quotients check only that their classes form a congruence.  Isomorphism
+testing compares flattened relabeled tables and builds no objects.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Hashable, Optional, Union
+from typing import Hashable, Optional, Sequence, Union
 
 from . import perm
-from .core import (
-    Rack,
-    Solution,
-    Table,
-    invert_solution,
-    is_biquandle,
-    per_input,
-    t_map_of,
-    verify_rack,
-    verify_solution,
-)
+from .core import Rack, Solution, Table, invert_solution, per_input, t_map_of
 from .errors import SizeTooLarge
 from .words import _sigma_inv, structure_rho, twisted_power
 
@@ -54,57 +50,53 @@ def structure_racks(s: Solution) -> StructureRackPair:
     left = tuple(
         tuple(s.sigma[y][sigma_hat_inv[y][x]] for x in range(n)) for y in range(n)
     )
-    sq = tuple(right.op[x][x] for x in range(n))
-    assert all(left[x][x] == sq[x] for x in range(n))
-    assert perm.is_perm(sq, n)
-    return StructureRackPair(right, left, t_map_of(s), sq)
+    return StructureRackPair(right, left, t_map_of(s), sq_map(right))
 
 
 def sq_map(rk: Rack) -> perm.Perm:
     """The squaring map x -> x > x; bijective for every rack."""
-    sq = tuple(rk.op[x][x] for x in range(rk.n))
-    assert perm.is_perm(sq, rk.n), "squaring map must be bijective on a rack"
-    return sq
+    return tuple(rk.op[x][x] for x in range(rk.n))
 
 
-def _quotient_classes(n: int, class_of: list[Hashable]) -> tuple[list[int], list[int]]:
-    """Renumber class labels to 0..k-1 by first occurrence; return
-    (normalized class_of, representative of each class)."""
-    relabel: dict[int, int] = {}
+def _quotient_tables(
+    tables: Sequence[Table], class_of: Sequence[Hashable]
+) -> tuple[list[Table], tuple[int, ...]]:
+    """Each table's quotient along the classes, numbered 0..k-1 by first
+    occurrence, with the class of each point.
+
+    Raises ValueError unless the classes form a congruence of every table.
+    A congruence makes the quotient of a solution a solution, and of a rack
+    a rack, so the quotient tables are not validated again: the projection
+    X -> X/~ carries each row (and the pair map) onto its quotient, so the
+    quotient row is a surjective self-map of a finite set, hence bijective;
+    and the Yang-Baxter and self-distributive identities, holding on X, hold
+    on X/~ through the surjection.
+    """
+    number: dict[Hashable, int] = {}
     reps: list[int] = []
-    out = []
-    for x in range(n):
-        c = class_of[x]
-        if c not in relabel:
-            relabel[c] = len(reps)
+    for x, c in enumerate(class_of):
+        if c not in number:
+            number[c] = len(reps)
             reps.append(x)
-        out.append(relabel[c])
-    return out, reps
+    cls = tuple(number[c] for c in class_of)
+    quotients = []
+    for t in tables:
+        q = tuple(tuple(cls[t[a][b]] for b in reps) for a in reps)
+        for x, row in enumerate(t):
+            if any(q[cls[x]][cls[y]] != cls[v] for y, v in enumerate(row)):
+                raise ValueError("the classes are not a congruence")
+        quotients.append(q)
+    return quotients, cls
 
 
-def _quotient_solution(s: Solution, class_of: list[Hashable]) -> tuple[Solution, tuple[int, ...]]:
-    """Quotient tables along a congruence, asserting well-definedness."""
-    n = s.n
-    cls, reps = _quotient_classes(n, class_of)
-    k = len(reps)
-    sigma_q = [[cls[s.sigma[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
-    tau_q = [[cls[s.tau[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
-    for x in range(n):
-        for y in range(n):
-            assert sigma_q[cls[x]][cls[y]] == cls[s.sigma[x][y]]
-            assert tau_q[cls[x]][cls[y]] == cls[s.tau[x][y]]
-    return verify_solution(sigma_q, tau_q), tuple(cls)
+def _quotient_solution(s: Solution, class_of: Sequence[Hashable]) -> tuple[Solution, tuple[int, ...]]:
+    (sigma, tau), cls = _quotient_tables((s.sigma, s.tau), class_of)
+    return Solution(len(sigma), sigma, tau), cls
 
 
-def _quotient_rack(rk: Rack, class_of: list[int]) -> tuple[Rack, tuple[int, ...]]:
-    n = rk.n
-    cls, reps = _quotient_classes(n, class_of)
-    k = len(reps)
-    op_q = [[cls[rk.op[reps[a]][reps[b]]] for b in range(k)] for a in range(k)]
-    for x in range(n):
-        for y in range(n):
-            assert op_q[cls[x]][cls[y]] == cls[rk.op[x][y]]
-    return verify_rack(op_q), tuple(cls)
+def _quotient_rack(rk: Rack, class_of: Sequence[Hashable]) -> tuple[Rack, tuple[int, ...]]:
+    (op,), cls = _quotient_tables((rk.op,), class_of)
+    return Rack(len(op), op), cls
 
 
 def _orbit_classes(p: perm.Perm) -> list[int]:
@@ -118,17 +110,12 @@ def _orbit_classes(p: perm.Perm) -> list[int]:
 def induced_biquandle(s: Solution) -> tuple[Solution, tuple[int, ...]]:
     """Quotient by the orbits of Sq; the result is a biquandle and the
     structure group is unchanged."""
-    sq = structure_racks(s).Sq
-    result, cls = _quotient_solution(s, _orbit_classes(sq))
-    assert is_biquandle(result)
-    return result, cls
+    return _quotient_solution(s, _orbit_classes(structure_racks(s).Sq))
 
 
 def induced_quandle(rk: Rack) -> tuple[Rack, tuple[int, ...]]:
     """Quotient of a rack by the orbits of its squaring map; a quandle."""
-    result, cls = _quotient_rack(rk, _orbit_classes(sq_map(rk)))
-    assert result.is_quandle
-    return result, cls
+    return _quotient_rack(rk, _orbit_classes(sq_map(rk)))
 
 
 def retraction(s: Solution) -> tuple[Solution, tuple[int, ...]]:
@@ -161,6 +148,10 @@ def cable(s: Solution, m: int) -> Solution:
     With x^[m] = w_1 ... w_m, each row is a composite of rows of s:
     sigma^[m]_x = T^{-(m-1)} sigma_{w_1} ... sigma_{w_m} T^{m-1} and
     tau^[m]_x = tau_{w_m} ... tau_{w_1}.
+
+    Each row is a composite of permutations, and r^[m] is the m-cabled
+    braiding on X^m restricted to the twisted diagonal x -> x^[m], so it is
+    a solution and is not validated again.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
@@ -178,42 +169,35 @@ def cable(s: Solution, m: int) -> Solution:
         for g in letters:
             row = perm.compose(s.tau[g], row)
         tau_c.append(row)
-    return verify_solution(sigma_c, tau_c)
+    return Solution(n, tuple(sigma_c), tuple(tau_c))
+
+
+def _relabeled(obj: Union[Solution, Rack], f: perm.Perm) -> tuple[int, ...]:
+    """obj's table(s) relabeled by f and flattened, sigma rows before tau
+    rows: entry (f(x), f(y)) is f(t[x][y]).  No object is built."""
+    tables = (obj.sigma, obj.tau) if isinstance(obj, Solution) else (obj.op,)
+    g = perm.inverse(f)
+    return tuple(f[t[x][y]] for t in tables for x in g for y in g)
+
+
+def _rows(flat: tuple[int, ...], n: int) -> Table:
+    return tuple(zip(*[iter(flat)] * n))
 
 
 def relabel_solution(s: Solution, f: perm.Perm) -> Solution:
-    n = s.n
-    sigma = [[0] * n for _ in range(n)]
-    tau = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            sigma[f[x]][f[y]] = f[s.sigma[x][y]]
-            tau[f[x]][f[y]] = f[s.tau[x][y]]
-    return Solution(n, tuple(map(tuple, sigma)), tuple(map(tuple, tau)))
+    rows = _rows(_relabeled(s, f), s.n)
+    return Solution(s.n, rows[:s.n], rows[s.n:])
 
 
 def relabel_rack(rk: Rack, f: perm.Perm) -> Rack:
-    n = rk.n
-    op = [[0] * n for _ in range(n)]
-    for x in range(n):
-        for y in range(n):
-            op[f[x]][f[y]] = f[rk.op[x][y]]
-    return Rack(n, tuple(map(tuple, op)))
-
-
-def _flat(obj: Union[Solution, Rack]) -> tuple[int, ...]:
-    if isinstance(obj, Solution):
-        return tuple(v for row in obj.sigma + obj.tau for v in row)
-    return tuple(v for row in obj.op for v in row)
+    return Rack(rk.n, _rows(_relabeled(rk, f), rk.n))
 
 
 def canonical_form(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> tuple[int, ...]:
     """Lexicographically least flattened table over all relabelings."""
-    n = obj.n
-    if n > bound:
-        raise SizeTooLarge(f"canonicalization bound is {bound}, got size {n}")
-    relabel = relabel_solution if isinstance(obj, Solution) else relabel_rack
-    return min(_flat(relabel(obj, f)) for f in permutations(range(n)))
+    if obj.n > bound:
+        raise SizeTooLarge(f"canonicalization bound is {bound}, got size {obj.n}")
+    return min(_relabeled(obj, f) for f in permutations(range(obj.n)))
 
 
 def are_isomorphic(
@@ -226,15 +210,12 @@ def are_isomorphic(
         return None
     if a.n > bound:
         raise SizeTooLarge(f"isomorphism search bound is {bound}, got size {a.n}")
-    relabel = relabel_solution if isinstance(a, Solution) else relabel_rack
-    for f in permutations(range(a.n)):
-        if relabel(a, f) == b:
-            return tuple(f)
-    return None
+    target = _relabeled(b, perm.identity(b.n))
+    return next((f for f in permutations(range(a.n)) if _relabeled(a, f) == target), None)
 
 
 def automorphism_count(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> int:
     if obj.n > bound:
         raise SizeTooLarge(f"isomorphism search bound is {bound}, got size {obj.n}")
-    relabel = relabel_solution if isinstance(obj, Solution) else relabel_rack
-    return sum(1 for f in permutations(range(obj.n)) if relabel(obj, f) == obj)
+    own = _relabeled(obj, perm.identity(obj.n))
+    return sum(1 for f in permutations(range(obj.n)) if _relabeled(obj, f) == own)

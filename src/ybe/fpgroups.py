@@ -151,16 +151,13 @@ def _cokernel(diag: list[int], ncols: int) -> tuple[int, tuple[int, ...]]:
 
 
 def row_lattice_membership(mat: list[list[int]], ncols: int) -> Callable[[Sequence[int]], bool]:
-    """Membership test for the integer row span of mat, from a single SNF."""
-    return _membership(_snf_diagonalize(mat, ncols), ncols)
+    """Membership test for the integer row span of mat, from a single SNF.
 
-
-def _membership(snf: tuple, ncols: int) -> Callable[[Sequence[int]], bool]:
-    """With U A V = diag(d), a vector lies in the row span of A exactly when
+    With U A V = diag(d), a vector lies in the row span of A exactly when
     every entry of vec.V is divisible by the matching d_j (d_j = 0 past the
     diagonal); V does not depend on vec, so every query reuses it.
     """
-    diag, v = snf
+    diag, v = _snf_diagonalize(mat, ncols)
     divisors = diag + [0] * (ncols - len(diag))
 
     def contains(vec: Sequence[int]) -> bool:
@@ -171,6 +168,17 @@ def _membership(snf: tuple, ncols: int) -> Callable[[Sequence[int]], bool]:
         return True
 
     return contains
+
+
+def _generator_keys(snf: tuple, ncols: int) -> list[tuple[int, ...]]:
+    """The image of each basis vector e_x in the cokernel, as a key: with
+    U A V = diag(d), e_x maps to V[x] reduced mod each d_j (kept whole where
+    d_j = 0), so e_y - e_x lies in the row span of A exactly when the keys
+    of x and y are equal.
+    """
+    diag, v = snf
+    divisors = diag + [0] * (ncols - len(diag))
+    return [tuple(c % d if d else c for c, d in zip(row, divisors)) for row in v]
 
 
 def in_row_lattice(mat: list[list[int]], vec: list[int]) -> bool:
@@ -538,7 +546,4 @@ def is_injective(
 
 def induced_injective_solution(s: Solution) -> tuple[Solution, tuple[int, ...]]:
     """Quotient solution on classes of generators with equal quotient image."""
-    _, iota = finite_quotient(s)
-    result, class_of = _quotient_solution(s, list(iota))
-    assert is_injective(result)[0]
-    return result, class_of
+    return _quotient_solution(s, list(finite_quotient(s)[1]))

@@ -79,21 +79,3 @@ def from_cycles(n: int, cycle_list: Iterable[Sequence[int]]) -> Perm:
 def all_perms(n: int) -> list[Perm]:
     return [tuple(p) for p in _permutations(range(n))]
 
-
-def closure(generators: Iterable[Perm]) -> set[Perm]:
-    """The permutation group generated by the given permutations."""
-    gens = [tuple(g) for g in generators]
-    if not gens:
-        return set()
-    seen = {identity(len(gens[0]))}
-    frontier = list(seen)
-    while frontier:
-        nxt = []
-        for p in frontier:
-            for g in gens:
-                q = compose(g, p)
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
-    return seen

@@ -157,23 +157,20 @@ def degrees(s: Solution) -> DegreeTable:
     of T and q, q' the orders of the two actions of y^[p].
     """
     n = s.n
-    ident = perm.identity(n)
     rho = structure_rho(s)
     t = t_map_of(s)
     p = perm.order(t)
-    d_list, tp_list = [], []
+    d_list, D_list, tp_list = [], [], []
     for y in range(n):
-        rho_y = rho[y]
-        o = perm.order(rho_y)
+        D_y = _rack_degree(rho[y])
+        D_list.append(D_y)
         w_p = twisted_power(s, y, p)
         q = perm.order(tuple(act_right(s, x, w_p) for x in range(n)))
         q2 = perm.order(tuple(act_left(s, w_p, x) for x in range(n)))
-        bound = math.lcm(2, o, p * math.lcm(q, q2))
-        for d in range(1, bound + 1):
-            if rho_y == ident and d % 2 == 1:
-                continue
-            if d % o != 0:
-                continue
+        bound = math.lcm(2, D_y, p * math.lcm(q, q2))
+        # d must be a multiple of ord(rho_y), and even when rho_y = id: a
+        # multiple of D_y
+        for d in range(D_y, bound + 1, D_y):
             w = twisted_power(s, y, d)
             if all(act_right(s, x, w) == x and act_left(s, w, x) == x for x in range(n)):
                 d_list.append(d)
@@ -181,5 +178,4 @@ def degrees(s: Solution) -> DegreeTable:
                 break
         else:
             raise BoundExceeded(f"no degree found for element {y} up to {bound}")
-    D_list = tuple(_rack_degree(rho[y]) for y in range(n))
-    return DegreeTable(tuple(d_list), D_list, tuple(tp_list))
+    return DegreeTable(tuple(d_list), tuple(D_list), tuple(tp_list))

@@ -167,3 +167,19 @@ def test_census_entries_are_valid(solutions3, racks4):
     for rk in racks4.representatives:
         assert isinstance(rk, Rack)
         verify_rack(rk.op)
+
+
+def test_rack_census_builds_one_rack_per_labeled_table(monkeypatch):
+    # canonical forms compare flattened tables, so no Rack is built per
+    # relabeling, and the found racks are not validated again
+    built = []
+    real_init = Rack.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Rack, "__init__", counting_init)
+    census = enumerate_racks.__wrapped__(4)
+    assert census.total_labeled == 114
+    assert len(built) == 114

@@ -20,8 +20,15 @@ from ybe import (
     verify_solution,
 )
 from ybe.core import Rack, Solution, is_biquandle
-from ybe.derived import automorphism_count, relabel_rack, relabel_solution
+from ybe.derived import (
+    _quotient_rack,
+    _quotient_solution,
+    automorphism_count,
+    relabel_rack,
+    relabel_solution,
+)
 from ybe.errors import SizeTooLarge
+from ybe.fpgroups import induced_injective_solution, is_injective
 from ybe.fixtures import fixture_rack, fixture_solution
 from ybe import perm
 
@@ -241,22 +248,94 @@ def test_structure_rack_commutes_with_biquandle_reduction(solution_fixtures):
         assert are_isomorphic(lhs, rhs) is not None
 
 
+def _checked(obj):
+    """obj, validated again from its tables."""
+    if isinstance(obj, Rack):
+        return verify_rack(obj.op)
+    return verify_solution(obj.sigma, obj.tau)
+
+
 def test_unchecked_constructions_pass_the_checks(
     fixture_and_sd_solutions, census_solutions, rack_fixtures, racks4
 ):
-    # invert_solution, sd_solutions and the right structure rack skip
-    # validation because they are valid by construction; re-check them all
+    # invert_solution, sd_solutions, the structure racks, every quotient
+    # (retraction levels, induced biquandle, quandle and injective solution)
+    # and cables skip validation because they are valid by construction;
+    # re-check them all
     racks = list(rack_fixtures.values())
     racks += [rk for n in (1, 2, 3) for rk in enumerate_racks(n).representatives]
     racks += list(racks4.representatives)
     solutions = list(fixture_and_sd_solutions) + list(census_solutions)
     for rk in racks:
         for sd in sd_solutions(rk):
-            assert verify_solution(sd.sigma, sd.tau) == sd
+            assert _checked(sd) == sd
             solutions.append(sd)
+        sq = sq_map(rk)
+        assert perm.is_perm(sq, rk.n)
+        quandle, _ = induced_quandle(rk)
+        assert _checked(quandle) == quandle and quandle.is_quandle
     for s in solutions:
         inv = invert_solution(s)
-        assert verify_solution(inv.sigma, inv.tau) == inv
+        assert _checked(inv) == inv
         assert invert_solution(inv) == s
-        right = structure_racks(s).right
-        assert verify_rack(right.op) == right
+        pair = structure_racks(s)
+        assert _checked(pair.right) == pair.right
+        assert perm.is_perm(pair.Sq, s.n)
+        assert all(pair.left[x][x] == pair.Sq[x] for x in range(s.n))
+        for level in mp_level(s).levels:
+            assert _checked(level) == level
+        biquandle, _ = induced_biquandle(s)
+        assert _checked(biquandle) == biquandle and is_biquandle(biquandle)
+        iis, _ = induced_injective_solution(s)
+        assert _checked(iis) == iis and is_injective(iis)[0]
+        for m in range(1, 5):
+            c = cable(s, m)
+            assert _checked(c) == c
+
+
+def test_quotients_reject_classes_that_are_not_a_congruence():
+    s = fixture_solution("solution/dihedral3-sd")
+    with pytest.raises(ValueError, match="congruence"):
+        _quotient_solution(s, [0, 0, 1])
+    with pytest.raises(ValueError, match="congruence"):
+        _quotient_rack(fixture_rack("rack/dihedral3"), [0, 0, 1])
+    assert _quotient_solution(s, [5, 5, 5])[0].n == 1
+
+
+# -- the old object-per-relabeling search, kept as the oracle ---------------
+
+
+def _relabel_oracle(obj, f):
+    n = obj.n
+    tables = (obj.sigma, obj.tau) if isinstance(obj, Solution) else (obj.op,)
+    out = []
+    for t in tables:
+        new = [[0] * n for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                new[f[x]][f[y]] = f[t[x][y]]
+        out.append(tuple(map(tuple, new)))
+    return Solution(n, *out) if isinstance(obj, Solution) else Rack(n, *out)
+
+
+def _flat_oracle(obj):
+    if isinstance(obj, Solution):
+        return tuple(v for row in obj.sigma + obj.tau for v in row)
+    return tuple(v for row in obj.op for v in row)
+
+
+def test_isomorphism_search_matches_the_object_oracle(census_solutions, racks4):
+    racks = [rk for n in (1, 2, 3) for rk in enumerate_racks(n).representatives]
+    racks += list(racks4.representatives)
+    for objects in (list(census_solutions), racks):
+        for a in objects:
+            perms = perm.all_perms(a.n)
+            relabel = relabel_solution if isinstance(a, Solution) else relabel_rack
+            for f in perms:
+                assert relabel(a, f) == _relabel_oracle(a, f)
+            assert canonical_form(a) == min(_flat_oracle(_relabel_oracle(a, f)) for f in perms)
+            assert automorphism_count(a) == sum(_relabel_oracle(a, f) == a for f in perms)
+            others = [b for b in objects if b.n == a.n] + [_relabel_oracle(a, perms[-1])]
+            for b in others:
+                want = next((f for f in perms if _relabel_oracle(a, f) == b), None)
+                assert are_isomorphic(a, b) == want

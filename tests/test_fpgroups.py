@@ -22,6 +22,8 @@ from ybe.errors import CosetLimitExceeded, UnknownName
 from ybe.fixtures import fixture_rack, fixture_solution
 from ybe.fpgroups import (
     _exponent_matrix,
+    _generator_keys,
+    _snf_diagonalize,
     coset_enumeration,
     group_from_actions,
     in_row_lattice,
@@ -360,10 +362,12 @@ def test_row_lattice_membership_agrees_with_fresh_queries(
     fixture_and_sd_solutions, census_solutions
 ):
     # vec is in the row lattice exactly when adding it as a row leaves the
-    # cokernel unchanged; that oracle never looks at the column transform
+    # cokernel unchanged; that oracle never looks at the column transform.
+    # For vec = e_y - e_x it is also when x and y have equal generator keys
     for s in list(fixture_and_sd_solutions) + list(census_solutions):
         matrix = _exponent_matrix(structure_presentation(s))
         contains = row_lattice_membership(matrix, s.n)
+        key = _generator_keys(_snf_diagonalize(matrix, s.n), s.n)
         before = smith_invariants(matrix, s.n)
         for x in range(s.n):
             for y in range(s.n):
@@ -372,6 +376,7 @@ def test_row_lattice_membership_agrees_with_fresh_queries(
                 diff[y] += 1
                 want = smith_invariants(matrix + [diff], s.n) == before
                 assert contains(diff) is in_row_lattice(matrix, diff) is want, (s, x, y)
+                assert (key[x] == key[y]) is want, (s, x, y)
 
 
 def test_smith_invariants_ignore_duplicate_and_zero_rows(fixture_and_sd_solutions):

@@ -220,7 +220,7 @@ def test_cable_makes_no_word_action_calls(monkeypatch):
     assert len(calls) == 0
 
 
-def test_cable_validates_only_its_output(monkeypatch):
+def test_cable_validates_nothing(monkeypatch):
     from collections import Counter
 
     from ybe import core
@@ -238,4 +238,5 @@ def test_cable_validates_only_its_output(monkeypatch):
     sigma, tau = _affine_sd(13, 3)
     c = cable(Solution(13, sigma, tau), 2)
     assert c.n == 13
-    assert calls == {"_ybe_witness": 1}
+    # the cable of a solution is a solution, so its output is not re-checked
+    assert calls == {}

@@ -14,7 +14,12 @@ from ybe import (
 from ybe.core import classify
 from ybe.errors import NotInvolutive
 from ybe.fixtures import fixture_rack, fixture_solution
-from ybe.fpgroups import finite_quotient
+from ybe.fpgroups import (
+    _exponent_matrix,
+    finite_quotient,
+    row_lattice_membership,
+    structure_presentation,
+)
 
 
 def test_trivial_flip_is_biorderable():
@@ -26,12 +31,15 @@ def test_trivial_flip_is_biorderable():
     assert orbit_of == (0, 1, 2)
 
 
-def test_free_abelian_certificate_verifies(solution_fixtures):
-    # every relator must map to zero under the orbit indicator map
-    for s in solution_fixtures.values():
+def test_free_abelian_certificate_verifies(fixture_and_sd_solutions, census_solutions):
+    # every relator must map to zero under the orbit indicator map; the
+    # verdict itself no longer re-checks this
+    yes = 0
+    for s in list(fixture_and_sd_solutions) + list(census_solutions):
         verdict = biorderability(s)
         if not verdict.bi_orderable:
             continue
+        yes += 1
         _, rank, orbit_of = verdict.certificate
         for x in range(s.n):
             for y in range(s.n):
@@ -42,6 +50,7 @@ def test_free_abelian_certificate_verifies(solution_fixtures):
                 image[orbit_of[u]] -= 1
                 image[orbit_of[v]] -= 1
                 assert all(c == 0 for c in image)
+    assert yes > 0
 
 
 def test_dihedral_sd_solution_has_quotient_torsion():
@@ -85,6 +94,40 @@ def test_sd_dichotomy_on_torsion_quandle_with_injectivity():
     assert sd_dichotomy(rk).verdict == "TORSION_NONABELIAN"
     # the torsion case can still have an injective generator map
     assert is_injective(sd_solutions(rk)[0])[0]
+
+
+def _torsion_witness_oracle(s):
+    """The first generator pair (x, y) whose difference lies in the relator
+    lattice but not in the kernel of the finite quotient, found by one
+    membership query per pair."""
+    fg, iota = finite_quotient(s)
+    contains = row_lattice_membership(_exponent_matrix(structure_presentation(s)), s.n)
+    for x in range(s.n):
+        for y in range(s.n):
+            g = fg.mul(fg.inv(iota[x]), iota[y])
+            diff = [0] * s.n
+            diff[x] -= 1
+            diff[y] += 1
+            if g != 0 and contains(diff):
+                return ("quotient_torsion", x, y, fg.element_order(g))
+    return None
+
+
+def test_torsion_witness_matches_the_membership_oracle(
+    fixture_and_sd_solutions, census_solutions
+):
+    found = 0
+    for s in list(fixture_and_sd_solutions) + list(census_solutions):
+        verdict = biorderability(s)
+        if verdict.bi_orderable or classify(s).involutive:
+            continue
+        witness = _torsion_witness_oracle(s)
+        if witness is None:
+            assert verdict.certificate[0] != "quotient_torsion", s
+        else:
+            found += 1
+            assert verdict.certificate == witness, s
+    assert found > 0
 
 
 def test_sd_dichotomy_free_abelian_case():
@@ -261,10 +304,10 @@ def test_analyze_computes_each_derived_object_once(monkeypatch):
     structure = tuple(map(tuple, fpgroups._exponent_matrix(fpgroups.structure_presentation(s))))
     assert calls["_snf_diagonalize"] == len(set(snf_matrices)) == 2
     assert structure in snf_matrices
-    # the inverse and the structure rack are not validated again; the induced
-    # biquandle and the retraction are quotients, which are
+    # the inverse, the structure rack, the induced biquandle and the
+    # retraction are valid by construction and are not validated again
     assert calls["_sd_witness"] == 0
-    assert calls["_ybe_witness"] <= 2
+    assert calls["_ybe_witness"] == 0
 
 
 def test_derived_values_live_as_long_as_their_input():
@@ -300,5 +343,5 @@ def test_analyze_builds_the_retraction_tower_once(monkeypatch):
     report = analyze(s)
     assert report.mp_level is None and report.bi_orderable == "no"
     # mp_level and involutive_orderability share one tower; its single
-    # level is a quotient solution, validated once
-    assert sorted(calls) == ["_ybe_witness", "retraction"]
+    # level is a quotient solution, which is not validated again
+    assert calls == ["retraction"]

@@ -248,3 +248,21 @@ def test_involutive_rack_degrees_are_two(involutive3):
         table = degrees(s)
         assert table.D == (2,) * s.n
         assert all(d % 2 == 0 for d in table.d)
+
+
+def _degree_oracle(s, y):
+    """The least d >= 1 meeting the definition of d_y, by a plain scan."""
+    rho_y = structure_rho(s)[y]
+    d = 1
+    while True:
+        even_enough = rho_y != perm.identity(s.n) or d % 2 == 0
+        if even_enough and d % perm.order(rho_y) == 0:
+            w = twisted_power(s, y, d)
+            if all(act_right(s, x, w) == x and act_left(s, w, x) == x for x in range(s.n)):
+                return d
+        d += 1
+
+
+def test_degrees_match_a_plain_scan(fixture_and_sd_solutions, census_solutions):
+    for s in list(fixture_and_sd_solutions) + list(census_solutions):
+        assert degrees(s).d == tuple(_degree_oracle(s, y) for y in range(s.n)), s
