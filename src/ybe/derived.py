@@ -149,9 +149,9 @@ def cable(s: Solution, m: int) -> Solution:
     sigma^[m]_x = T^{-(m-1)} sigma_{w_1} ... sigma_{w_m} T^{m-1} and
     tau^[m]_x = tau_{w_m} ... tau_{w_1}.
 
-    Each row is a composite of permutations, and r^[m] is the m-cabled
-    braiding on X^m restricted to the twisted diagonal x -> x^[m], so it is
-    a solution and is not validated again.
+    So every row is a permutation, and r^[m] is the m-cabled braiding on
+    X^m restricted to the twisted diagonal x -> x^[m]; it is a solution and
+    is not validated again.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
