@@ -10,7 +10,7 @@ from pathlib import Path
 
 from .census import enumerate_racks, enumerate_solutions, group_by_structure_rack
 from .core import Rack, Solution, chain_periods, classify, sd_solutions
-from .derived import cable, canonical_form
+from .derived import cable
 from .errors import (
     CosetLimitExceeded,
     InvalidInput,

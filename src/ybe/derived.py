@@ -9,7 +9,8 @@ testing compares flattened relabeled tables and builds no objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations
 from typing import Hashable, Optional, Sequence, Union
 
@@ -23,10 +24,26 @@ ISO_BOUND = 6  # factorial search cap for canonical forms
 
 @dataclass(frozen=True)
 class StructureRackPair:
+    """The structure racks of a solution with its T and Sq maps.  The left
+    rack and T are built when first read; nothing in the package reads
+    them."""
+
     right: Rack            # x >_r y
-    left: Table            # left[y][x] = y <_r x
-    T: perm.Perm
     Sq: perm.Perm
+    solution: Solution = field(repr=False)
+
+    @cached_property
+    def left(self) -> Table:
+        """left[y][x] = y <_r x."""
+        s = self.solution
+        sigma_hat_inv = _sigma_inv(invert_solution(s))
+        return tuple(
+            tuple(s.sigma[y][sigma_hat_inv[y][x]] for x in range(s.n)) for y in range(s.n)
+        )
+
+    @cached_property
+    def T(self) -> perm.Perm:
+        return t_map_of(self.solution)
 
 
 @dataclass(frozen=True)
@@ -44,13 +61,8 @@ def structure_racks(s: Solution) -> StructureRackPair:
     Sq(x) = x >_r x = x <_r x.  The structure rack of a solution is a rack,
     so its table is not checked again.
     """
-    n = s.n
-    right = Rack(n, tuple(zip(*structure_rho(s))))
-    sigma_hat_inv = _sigma_inv(invert_solution(s))
-    left = tuple(
-        tuple(s.sigma[y][sigma_hat_inv[y][x]] for x in range(n)) for y in range(n)
-    )
-    return StructureRackPair(right, left, t_map_of(s), sq_map(right))
+    right = Rack(s.n, tuple(zip(*structure_rho(s))))
+    return StructureRackPair(right, sq_map(right), s)
 
 
 def sq_map(rk: Rack) -> perm.Perm:
@@ -172,12 +184,15 @@ def cable(s: Solution, m: int) -> Solution:
     return Solution(n, tuple(sigma_c), tuple(tau_c))
 
 
+def _tables(obj: Union[Solution, Rack]) -> tuple[Table, ...]:
+    return (obj.sigma, obj.tau) if isinstance(obj, Solution) else (obj.op,)
+
+
 def _relabeled(obj: Union[Solution, Rack], f: perm.Perm) -> tuple[int, ...]:
     """obj's table(s) relabeled by f and flattened, sigma rows before tau
     rows: entry (f(x), f(y)) is f(t[x][y]).  No object is built."""
-    tables = (obj.sigma, obj.tau) if isinstance(obj, Solution) else (obj.op,)
     g = perm.inverse(f)
-    return tuple(f[t[x][y]] for t in tables for x in g for y in g)
+    return tuple(f[t[x][y]] for t in _tables(obj) for x in g for y in g)
 
 
 def _rows(flat: tuple[int, ...], n: int) -> Table:
@@ -194,10 +209,90 @@ def relabel_rack(rk: Rack, f: perm.Perm) -> Rack:
 
 
 def canonical_form(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> tuple[int, ...]:
-    """Lexicographically least flattened table over all relabelings."""
-    if obj.n > bound:
-        raise SizeTooLarge(f"canonicalization bound is {bound}, got size {obj.n}")
-    return min(_relabeled(obj, f) for f in permutations(range(obj.n)))
+    """Lexicographically least flattened table over all n! relabelings.
+
+    Branch and bound over g = f^{-1}: labels 0, 1, ... are given out in
+    order, g[m] being the point that receives label m.  Once labels < m are
+    given out, each table's relabeled row i < m is partly known:
+      - entry j < m is f(t[g_i][g_j]), exact when that point has a label and
+        otherwise at least m, the least label still free;
+      - entries j >= m are the values f(t[g_i][u]) over the unlabelled u in
+        some order, so their sorted values (each unknown one taken as m) are
+        a lexicographic lower bound, and they are determined once all of
+        them are exact and equal.
+    Reading the flattened table in order, a branch is cut as soon as this
+    bound exceeds the least table found so far; the reading stops at the
+    first entry that is neither determined nor decisive.
+
+    A leaf g that equals the least table, found earlier at leaf g', gives an
+    automorphism g g'^{-1} that fixes the points labelled before the first
+    level l where g and g' differ.  It carries the subtree explored through
+    g'_l onto the one being explored through g_l, so the search returns to
+    level l at once.
+    """
+    n = obj.n
+    if n > bound:
+        raise SizeTooLarge(f"canonicalization bound is {bound}, got size {n}")
+    tables = _tables(obj)
+    g, f = [0] * n, [n] * n  # f[x] == n: x has no label yet
+    best: tuple[int, ...] = ()
+    best_g: list[int] = []
+
+    def compare(m: int) -> int:
+        """1 if every completion of g[:m] exceeds best, 0 if g (m = n)
+        gives best, -1 otherwise."""
+        labelled = g[:m]
+        free = [u for u in range(n) if f[u] == n]
+        pos = 0
+        for t in tables:
+            for x in labelled:
+                row = t[x]
+                for y in labelled:
+                    v, b = f[row[y]], best[pos]
+                    pos += 1
+                    if v >= m:  # unlabelled, so at least m
+                        return 1 if b < m else -1
+                    if v != b:
+                        return 1 if v > b else -1
+                if free:
+                    tail = sorted([f[row[u]] for u in free])
+                    for v in tail:
+                        b = best[pos]
+                        pos += 1
+                        if v >= m:
+                            return 1 if b < m else -1
+                        if v != b:
+                            return 1 if v > b else -1
+                    if tail[0] != tail[-1]:
+                        return -1
+            if free:
+                return -1
+        return 0
+
+    def search(m: int) -> Optional[int]:
+        """Give label m to each free point in turn; return the level to go
+        back to, if an automorphism cuts the search short."""
+        nonlocal best
+        for u in range(n):
+            if f[u] != n:
+                continue
+            g[m], f[u] = u, m
+            jump = None
+            if m + 1 == n:
+                c = compare(n) if best else -1
+                if c < 0:
+                    best, best_g[:] = tuple(f[t[x][y]] for t in tables for x in g for y in g), g
+                elif c == 0:
+                    jump = next(i for i in range(n) if g[i] != best_g[i])
+            elif m + 2 == n or not best or compare(m + 1) < 1:
+                jump = search(m + 1)
+            f[u] = n
+            if jump is not None and jump < m:
+                return jump
+        return None
+
+    search(0)
+    return best
 
 
 def are_isomorphic(

@@ -61,9 +61,12 @@ class BoundExceeded(YBEError):
 class CosetLimitExceeded(YBEError):
     """Coset enumeration hit the coset cap."""
 
-    def __init__(self, cap: int):
-        self.cap = cap
-        super().__init__(f"coset enumeration exceeded the cap of {cap} cosets")
+    def __init__(self, cap: int, defined: int, live: int):
+        self.cap, self.defined, self.live = cap, defined, live
+        super().__init__(
+            f"coset enumeration exceeded the cap of {cap} cosets "
+            f"({defined} defined, {live} live)"
+        )
 
 
 class NotInvolutive(YBEError):

@@ -226,7 +226,8 @@ class _CosetTable:
 
     def define(self, a: int, x: int) -> None:
         if len(self.table) >= self.cap:
-            raise CosetLimitExceeded(self.cap)
+            live = sum(1 for c, root in enumerate(self.p) if c == root)
+            raise CosetLimitExceeded(self.cap, len(self.table), live)
         b = len(self.table)
         self.table.append([None] * self.nsym)
         self.p.append(b)

@@ -1,10 +1,12 @@
 """Exhaustive small censuses and their cross-checks."""
 
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
+import ybe.census as census_module
 from ybe import (
+    Census,
     Rack,
     canonical_form,
     chain_periods,
@@ -14,8 +16,9 @@ from ybe import (
     group_by_structure_rack,
     verify_rack,
 )
-from ybe.core import Solution
-from ybe.derived import are_isomorphic, automorphism_count
+from ybe import perm
+from ybe.core import Solution, _is_biquandle_tables, _is_involutive, _pair_bijective, _ybe_witness
+from ybe.derived import _relabeled, are_isomorphic, automorphism_count, relabel_rack
 from ybe.errors import SizeTooLarge
 from ybe.fixtures import fixture_rack
 
@@ -183,3 +186,104 @@ def test_rack_census_builds_one_rack_per_labeled_table(monkeypatch):
     census = enumerate_racks.__wrapped__(4)
     assert census.total_labeled == 114
     assert len(built) == 114
+
+
+# -- the pruned searches against the exhaustive ones, kept as oracles -------
+
+
+def _oracle_canonical_form(obj):
+    """The least flattened table over all n! relabelings."""
+    return min(_relabeled(obj, f) for f in permutations(range(obj.n)))
+
+
+def _oracle_census(n, kind, labeled):
+    classes = {}
+    for obj in labeled:
+        classes.setdefault(_oracle_canonical_form(obj), []).append(obj)
+    canons = sorted(classes)
+    return Census(n, kind, tuple(classes[c][0] for c in canons),
+                  tuple(len(classes[c]) for c in canons))
+
+
+def _all_column_racks(n, quandles_only):
+    """Every labeled rack on n points: every column is tried at every node,
+    and every constraint among the chosen columns is checked again."""
+    perms = perm.all_perms(n)
+    found = []
+
+    def extend(rho):
+        k = len(rho)
+        if k == n:
+            found.append(Rack(n, tuple(tuple(rho[y][x] for y in range(n)) for x in range(n))))
+            return
+        for p in perms:
+            if quandles_only and p[k] != k:
+                continue
+            cand = rho + [p]
+            if all(perm.compose(cand[z], cand[y]) == perm.compose(cand[cand[z][y]], cand[z])
+                   for y in range(k + 1) for z in range(k + 1) if cand[z][y] <= k):
+                extend(cand)
+
+    extend([])
+    return found
+
+
+def _full_product_solutions(n, restrict):
+    """Every labeled solution on n points from all (n!)^(2n) row choices."""
+    perms = perm.all_perms(n)
+    found = []
+    for sigma in product(perms, repeat=n):
+        for tau in product(perms, repeat=n):
+            if not _pair_bijective(sigma, tau, n):
+                continue
+            if restrict == "involutive" and not _is_involutive(sigma, tau, n):
+                continue
+            if restrict == "biquandle" and not _is_biquandle_tables(sigma, tau, n):
+                continue
+            if _ybe_witness(sigma, tau, n) is None:
+                found.append(Solution(n, sigma, tau))
+    return found
+
+
+@pytest.mark.parametrize("quandles_only", [False, True], ids=["rack", "quandle"])
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_rack_search_matches_the_all_column_oracle(n, quandles_only):
+    kind = "quandle" if quandles_only else "rack"
+    oracle = _oracle_census(n, kind, _all_column_racks(n, quandles_only))
+    assert enumerate_racks(n, quandles_only) == oracle
+
+
+@pytest.mark.parametrize("restrict", [None, "involutive", "biquandle"])
+def test_solution_search_matches_the_full_product_oracle(restrict):
+    kind = restrict or "all-solutions"
+    for n in (1, 2, 3):
+        oracle = _oracle_census(n, kind, _full_product_solutions(n, restrict))
+        assert enumerate_solutions(n, restrict) == oracle
+
+
+def test_canonical_form_is_the_least_relabeling_on_labeled_censuses():
+    reps = enumerate_racks(5, bound=5).representatives
+    labeled = {relabel_rack(rk, f) for rk in reps for f in perm.all_perms(5)}
+    assert len(labeled) == 1708
+    solutions = [s for n in (1, 2, 3) for s in _full_product_solutions(n, None)]
+    assert len(solutions) == 1 + 4 + 66
+    for obj in list(labeled) + solutions:
+        assert canonical_form(obj) == _oracle_canonical_form(obj)
+
+
+def test_solution_search_checks_only_sigma_compatible_tau_rows(monkeypatch):
+    # without the pruning all (3!)^6 = 46,656 row choices reach the checks
+    calls = []
+    real = census_module._pair_bijective
+    monkeypatch.setattr(census_module, "_pair_bijective",
+                        lambda *args: calls.append(args) or real(*args))
+    census = enumerate_solutions.__wrapped__(3)
+    assert census.total_labeled == 66
+    assert len(calls) <= 1350
+
+
+@pytest.mark.slow
+def test_six_point_rack_and_quandle_censuses():
+    # 353 racks and 73 quandles (Vojtechovsky-Yang, Math. Comp. 2019)
+    assert len(enumerate_racks(6, quandles_only=True, bound=6).representatives) == 73
+    assert len(enumerate_racks(6, bound=6).representatives) == 353

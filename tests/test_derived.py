@@ -70,6 +70,15 @@ def test_structure_rack_alternative_formulas(solution_fixtures):
                 assert pair.left[y][x] == s.sigma[y][s.tau[sigma_x_inv[y]][x]]
 
 
+def test_structure_racks_builds_left_and_T_only_when_read():
+    s = fixture_solution("solution/dihedral3-c")
+    pair = structure_racks(s)
+    assert "left" not in vars(pair) and "T" not in vars(pair)
+    assert pair.T == tuple(s.tau[y].index(y) for y in range(s.n))
+    assert len(pair.left) == s.n and "left" in vars(pair)
+    assert structure_racks(s) is pair
+
+
 def test_biquandle_iff_structure_rack_is_quandle(solution_fixtures):
     for s in solution_fixtures.values():
         assert is_biquandle(s) == structure_racks(s).right.is_quandle

@@ -141,8 +141,16 @@ def test_coset_enumeration_symmetric_group():
 
 def test_coset_cap_enforced():
     pres = Presentation(1, (word_of(*[0] * 120),))
-    with pytest.raises(CosetLimitExceeded):
+    with pytest.raises(CosetLimitExceeded, match=r"cap of 50 cosets \(50 defined, 50 live\)$"):
         coset_enumeration(pres, cap=50)
+    # A5 = <a, b | a^2, b^3, (ab)^5>: the cap counts every coset defined,
+    # including those a coincidence has since killed
+    a5 = Presentation(2, (word_of(0, 0), word_of(1, 1, 1), word_of(*[0, 1] * 5)))
+    with pytest.raises(CosetLimitExceeded) as exc:
+        coset_enumeration(a5, cap=80)
+    assert (exc.value.cap, exc.value.defined, exc.value.live) == (80, 80, 67)
+    assert str(exc.value).endswith("cap of 80 cosets (80 defined, 67 live)")
+    assert len(coset_enumeration(a5, cap=100)[0]) == 60
 
 
 def test_group_from_actions_identity_coset():
