@@ -71,7 +71,7 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
     if quandles_only:
         free = [[i for i, p in enumerate(perms) if p[k] == k] for k in range(n)]
     else:
-        free = [list(range(len(perms)))] * n
+        free = [range(len(perms))] * n
 
     valid: list[Rack] = []
     cols = [0] * n

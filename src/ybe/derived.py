@@ -24,9 +24,8 @@ ISO_BOUND = 6  # factorial search cap for canonical forms
 
 @dataclass(frozen=True)
 class StructureRackPair:
-    """The structure racks of a solution with its T and Sq maps.  The left
-    rack and T are built when first read; nothing in the package reads
-    them."""
+    """The structure racks of a solution with its T and Sq maps; the left
+    rack and T are built when first read."""
 
     right: Rack            # x >_r y
     Sq: perm.Perm
@@ -222,7 +221,10 @@ def canonical_form(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> tuple[
         them are exact and equal.
     Reading the flattened table in order, a branch is cut as soon as this
     bound exceeds the least table found so far; the reading stops at the
-    first entry that is neither determined nor decisive.
+    first entry that is neither determined nor decisive.  Points are tried
+    in decreasing order of how often t[x][y] = x in their row of the first
+    table: those zeros are what row 0 of the least table begins with, so it
+    tends to be found early.  The order only speeds up the cut.
 
     A leaf g that equals the least table, found earlier at leaf g', gives an
     automorphism g g'^{-1} that fixes the points labelled before the first
@@ -237,6 +239,7 @@ def canonical_form(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> tuple[
     g, f = [0] * n, [n] * n  # f[x] == n: x has no label yet
     best: tuple[int, ...] = ()
     best_g: list[int] = []
+    order = sorted(range(n), key=lambda x: -tables[0][x].count(x))
 
     def compare(m: int) -> int:
         """1 if every completion of g[:m] exceeds best, 0 if g (m = n)
@@ -273,7 +276,7 @@ def canonical_form(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> tuple[
         """Give label m to each free point in turn; return the level to go
         back to, if an automorphism cuts the search short."""
         nonlocal best
-        for u in range(n):
+        for u in order:
             if f[u] != n:
                 continue
             g[m], f[u] = u, m
@@ -285,7 +288,7 @@ def canonical_form(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> tuple[
                 elif c == 0:
                     jump = next(i for i in range(n) if g[i] != best_g[i])
             elif m + 2 == n or not best or compare(m + 1) < 1:
-                jump = search(m + 1)
+                jump = search(m + 1)  # with one point left, its leaf decides
             f[u] = n
             if jump is not None and jump < m:
                 return jump

@@ -226,7 +226,7 @@ class _CosetTable:
 
     def define(self, a: int, x: int) -> None:
         if len(self.table) >= self.cap:
-            live = sum(1 for c, root in enumerate(self.p) if c == root)
+            live = sum(map(self.alive, range(len(self.p))))
             raise CosetLimitExceeded(self.cap, len(self.table), live)
         b = len(self.table)
         self.table.append([None] * self.nsym)
