@@ -14,9 +14,9 @@ from ybe import (
     enumerate_racks,
     enumerate_solutions,
     group_by_structure_rack,
+    perm,
     verify_rack,
 )
-from ybe import perm
 from ybe.core import Solution, _is_biquandle_tables, _is_involutive, _pair_bijective, _ybe_witness
 from ybe.derived import _relabeled, are_isomorphic, automorphism_count, relabel_rack
 from ybe.errors import SizeTooLarge
