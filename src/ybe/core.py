@@ -319,26 +319,12 @@ def solution_orbits(s: Solution) -> tuple[tuple[int, ...], ...]:
 
 
 def chain_periods(rk: Rack) -> ChainReport:
-    """Minimal periods of all chains, via cycles of (x,y) -> (y, x > y) on X^2."""
+    """Minimal periods of all chains, via cycles of (x,y) -> (y, x > y) on X^2,
+    the pair (x, y) coded as x n + y."""
     n = rk.n
-    pair_map = {}
-    for x in range(n):
-        for y in range(n):
-            pair_map[(x, y)] = (y, rk.op[x][y])
-    seen: set[tuple[int, int]] = set()
-    periods = []
-    for start in sorted(pair_map):
-        if start in seen:
-            continue
-        cyc = [start]
-        seen.add(start)
-        cur = pair_map[start]
-        while cur != start:
-            cyc.append(cur)
-            seen.add(cur)
-            cur = pair_map[cur]
-        periods.append(len(cyc))
-    return ChainReport(tuple(sorted(periods)), len(rack_orbits(rk)))
+    pair_map = [y * n + rk.op[x][y] for x in range(n) for y in range(n)]
+    periods = sorted(map(len, perm.cycles(pair_map)))
+    return ChainReport(tuple(periods), len(rack_orbits(rk)))
 
 
 def t_map_of(s: Solution) -> perm.Perm:

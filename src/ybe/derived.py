@@ -207,7 +207,7 @@ def relabel_rack(rk: Rack, f: perm.Perm) -> Rack:
     return Rack(rk.n, _rows(_relabeled(rk, f), rk.n))
 
 
-def canonical_form(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> tuple[int, ...]:
+def canonical_form(obj: Union[Solution, Rack]) -> tuple[int, ...]:
     """Lexicographically least flattened table over all n! relabelings.
 
     Branch and bound over g = f^{-1}: labels 0, 1, ... are given out in
@@ -233,8 +233,8 @@ def canonical_form(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> tuple[
     level l at once.
     """
     n = obj.n
-    if n > bound:
-        raise SizeTooLarge(f"canonicalization bound is {bound}, got size {n}")
+    if n > ISO_BOUND:
+        raise SizeTooLarge(f"canonicalization bound is {ISO_BOUND}, got size {n}")
     tables = _tables(obj)
     g, f = [0] * n, [n] * n  # f[x] == n: x has no label yet
     best: tuple[int, ...] = ()
@@ -298,22 +298,20 @@ def canonical_form(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> tuple[
     return best
 
 
-def are_isomorphic(
-    a: Union[Solution, Rack], b: Union[Solution, Rack], bound: int = ISO_BOUND
-) -> Optional[perm.Perm]:
+def are_isomorphic(a: Union[Solution, Rack], b: Union[Solution, Rack]) -> Optional[perm.Perm]:
     """A relabeling carrying a onto b, or None."""
     if type(a) is not type(b):
         raise TypeError("can only compare two Solutions or two Racks")
     if a.n != b.n:
         return None
-    if a.n > bound:
-        raise SizeTooLarge(f"isomorphism search bound is {bound}, got size {a.n}")
+    if a.n > ISO_BOUND:
+        raise SizeTooLarge(f"isomorphism search bound is {ISO_BOUND}, got size {a.n}")
     target = _relabeled(b, perm.identity(b.n))
     return next((f for f in permutations(range(a.n)) if _relabeled(a, f) == target), None)
 
 
-def automorphism_count(obj: Union[Solution, Rack], bound: int = ISO_BOUND) -> int:
-    if obj.n > bound:
-        raise SizeTooLarge(f"isomorphism search bound is {bound}, got size {obj.n}")
+def automorphism_count(obj: Union[Solution, Rack]) -> int:
+    if obj.n > ISO_BOUND:
+        raise SizeTooLarge(f"isomorphism search bound is {ISO_BOUND}, got size {obj.n}")
     own = _relabeled(obj, perm.identity(obj.n))
     return sum(1 for f in permutations(range(obj.n)) if _relabeled(obj, f) == own)

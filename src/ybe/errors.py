@@ -74,4 +74,4 @@ class NotInvolutive(YBEError):
 
 
 class UnknownName(YBEError, KeyError):
-    """Unknown reference-group or fixture name."""
+    """Unknown fixture name."""

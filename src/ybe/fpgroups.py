@@ -12,7 +12,7 @@ import math
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import perm
 from .core import _MEMO, Rack, Solution, is_biquandle, per_input, sd_solutions
@@ -60,9 +60,14 @@ def _snf_diagonalize(mat: list[list[int]], ncols: int) -> tuple[list[int], list[
 
     Returns (diagonal entries, V) where V is the accumulated column
     transform: for the input A there are unimodular U, V with U A V diagonal.
-    The diagonal is non-negative but not yet a divisibility chain.  Duplicate
+    The diagonal is positive but not yet a divisibility chain.  Duplicate
     and zero rows are dropped first; they change neither the row lattice nor
     the cokernel.
+
+    Each round moves an entry p of least |value| in the working block to
+    (r, r) and divides it into its column, then into its row.  A nonzero
+    remainder is smaller than |p| and starts the next round, so the rounds
+    end.  Once the column is clear, the column operations change only row r.
     """
     a = [list(row) for row in dict.fromkeys(map(tuple, mat)) if any(row)]
     m = len(a)
@@ -83,61 +88,53 @@ def _snf_diagonalize(mat: list[list[int]], ncols: int) -> tuple[list[int], list[
             break
         pi, pj = pivot
         a[r], a[pi] = a[pi], a[r]
-        for row in a:
-            row[r], row[pj] = row[pj], row[r]
-        for row in v:
-            row[r], row[pj] = row[pj], row[r]
-        while True:
-            # clear the pivot column by row operations
-            dirty = False
-            for i in range(r + 1, m):
-                if a[i][r] != 0:
-                    q = a[i][r] // a[r][r]
-                    for j in range(r, ncols):
-                        a[i][j] -= q * a[r][j]
-                    if a[i][r] != 0:  # nonzero remainder becomes new pivot
-                        a[r], a[i] = a[i], a[r]
-                        dirty = True
-            # clear the pivot row by column operations (tracked in V)
-            for j in range(r + 1, ncols):
-                if a[r][j] != 0:
-                    q = a[r][j] // a[r][r]
-                    for i in range(m):
-                        a[i][j] -= q * a[i][r]
-                    for i in range(ncols):
-                        v[i][j] -= q * v[i][r]
-                    if a[r][j] != 0:
-                        for row in a:
-                            row[r], row[j] = row[j], row[r]
-                        for row in v:
-                            row[r], row[j] = row[j], row[r]
-                        dirty = True
-            if not dirty and all(a[i][r] == 0 for i in range(r + 1, m)) and all(
-                a[r][j] == 0 for j in range(r + 1, ncols)
-            ):
-                break
-        if a[r][r] < 0:
-            for i in range(m):
-                a[i][r] = -a[i][r]
-            for i in range(ncols):
-                v[i][r] = -v[i][r]
-        diag.append(a[r][r])
+        if pj != r:
+            for row in a[r:] + v:
+                row[r], row[pj] = row[pj], row[r]
+        p, top = a[r][r], a[r]
+        # clear the pivot column by row operations
+        for row in a[r + 1:]:
+            q = row[r] // p
+            if q:
+                for j in range(r, ncols):
+                    row[j] -= q * top[j]
+        if any(row[r] for row in a[r + 1:]):
+            continue
+        # clear the pivot row by column operations (tracked in V); rows
+        # other than r are now zero in column r, so only row r changes
+        for j in range(r + 1, ncols):
+            q = top[j] // p
+            if q:
+                top[j] -= q * p
+                for row in v:
+                    row[j] -= q * row[r]
+        if any(top[r + 1:]):
+            continue
+        if p < 0:
+            for row in v:
+                row[r] = -row[r]
+        diag.append(abs(p))
         r += 1
     return diag, v
 
 
 def _divisibility_chain(diag: list[int]) -> list[int]:
-    """Turn a diagonal into invariant factors d1 | d2 | ... (gcd/lcm passes)."""
-    d = [x for x in diag if x != 0]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(d) - 1):
-            if d[i + 1] % d[i] != 0:
-                g = math.gcd(d[i], d[i + 1])
-                d[i], d[i + 1] = g, d[i] * d[i + 1] // g
-                changed = True
-    return sorted(d)
+    """Turn a diagonal into invariant factors d1 | d2 | ..., one gcd/lcm
+    pass over the pairs (i, j > i).
+
+    Replacing (d_i, d_j) by (gcd, lcm) keeps Z/d_i + Z/d_j up to isomorphism.
+    By induction on j, once step (i, j) is done d_i divides d_(i+1), ..., d_j:
+    the new d_i = gcd divides the old one, hence d_(i+1), ..., d_(j-1), and
+    it divides the new d_j = lcm.  Later steps (i', j') with i < i' < j' put
+    gcds and lcms of multiples of d_i in place, which are multiples of d_i.
+    So the pass ends with d_1 | d_2 | ..., all positive, hence in order.
+    """
+    d = list(diag)
+    for i in range(len(d)):
+        for j in range(i + 1, len(d)):
+            g = math.gcd(d[i], d[j])
+            d[i], d[j] = g, d[i] * d[j] // g
+    return d
 
 
 def smith_invariants(mat: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...]]:
@@ -148,26 +145,6 @@ def smith_invariants(mat: list[list[int]], ncols: int) -> tuple[int, tuple[int, 
 def _cokernel(diag: list[int], ncols: int) -> tuple[int, tuple[int, ...]]:
     chain = _divisibility_chain(diag)
     return ncols - len(chain), tuple(x for x in chain if x > 1)
-
-
-def row_lattice_membership(mat: list[list[int]], ncols: int) -> Callable[[Sequence[int]], bool]:
-    """Membership test for the integer row span of mat, from a single SNF.
-
-    With U A V = diag(d), a vector lies in the row span of A exactly when
-    every entry of vec.V is divisible by the matching d_j (d_j = 0 past the
-    diagonal); V does not depend on vec, so every query reuses it.
-    """
-    diag, v = _snf_diagonalize(mat, ncols)
-    divisors = diag + [0] * (ncols - len(diag))
-
-    def contains(vec: Sequence[int]) -> bool:
-        for j, d in enumerate(divisors):
-            w = sum(vec[i] * v[i][j] for i in range(ncols))
-            if (w % d if d else w) != 0:
-                return False
-        return True
-
-    return contains
 
 
 def _generator_keys(snf: tuple, ncols: int) -> list[tuple[int, ...]]:
@@ -182,8 +159,12 @@ def _generator_keys(snf: tuple, ncols: int) -> list[tuple[int, ...]]:
 
 
 def in_row_lattice(mat: list[list[int]], vec: list[int]) -> bool:
-    """Whether vec lies in the integer row span of mat."""
-    return row_lattice_membership(mat, len(vec))(vec)
+    """Whether vec lies in the integer row span of mat: exactly when vec.V,
+    reduced as _generator_keys reduces each V[x], is zero in the cokernel."""
+    n = len(vec)
+    diag, v = _snf_diagonalize(mat, n)
+    image = [sum(c * row[j] for c, row in zip(vec, v)) for j in range(n)]
+    return not any(_generator_keys((diag, [image]), n)[0])
 
 
 def _exponent_matrix(p: Presentation) -> list[list[int]]:

@@ -17,7 +17,7 @@ from ybe.fixtures import fixture_rack, fixture_solution
 from ybe.fpgroups import (
     _exponent_matrix,
     finite_quotient,
-    row_lattice_membership,
+    in_row_lattice,
     structure_presentation,
 )
 
@@ -101,14 +101,14 @@ def _torsion_witness_oracle(s):
     lattice but not in the kernel of the finite quotient, found by one
     membership query per pair."""
     fg, iota = finite_quotient(s)
-    contains = row_lattice_membership(_exponent_matrix(structure_presentation(s)), s.n)
+    matrix = _exponent_matrix(structure_presentation(s))
     for x in range(s.n):
         for y in range(s.n):
             g = fg.mul(fg.inv(iota[x]), iota[y])
             diff = [0] * s.n
             diff[x] -= 1
             diff[y] += 1
-            if g != 0 and contains(diff):
+            if g != 0 and in_row_lattice(matrix, diff):
                 return ("quotient_torsion", x, y, fg.element_order(g))
     return None
 
