@@ -9,7 +9,7 @@ from itertools import product
 from typing import Optional, Union
 
 from . import perm
-from .core import Rack, Solution
+from .core import BYTE_BOUND, Rack, Solution
 from .core import _is_biquandle_tables, _is_involutive, _pair_bijective, _ybe_witness
 from .derived import canonical_form, structure_racks
 from .errors import SizeTooLarge
@@ -65,9 +65,15 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
     if n > bound:
         raise SizeTooLarge(f"rack census bound is {bound}, got {n}")
     perms = perm.all_perms(n)
-    pindex = {p: i for i, p in enumerate(perms)}
-    comp = [[pindex[perm.compose(p, q)] for q in perms] for p in perms]
-    inv = [pindex[perm.inverse(p)] for p in perms]
+    # A product is composed as bytes, q.translate(p + pad), and the row
+    # comp[c] of products with left factor perms[c] is built only when c is
+    # first chosen as a column: every product consistent reads has a chosen
+    # left factor.
+    rows = [bytes(p) for p in perms]
+    after = [row + bytes(BYTE_BOUND - n) for row in rows]  # q.translate(after[i]) = perms[i] o q
+    pindex = {row: i for i, row in enumerate(rows)}
+    inv = [pindex[bytes(perm.inverse(p))] for p in perms]
+    comp: list[Optional[list[int]]] = [None] * len(perms)  # comp[i][j]: perms[i] o perms[j]
     if quandles_only:
         free = [[i for i, p in enumerate(perms) if p[k] == k] for k in range(n)]
     else:
@@ -97,11 +103,11 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
         for z in range(k):
             cz = cols[z]
             t = perms[cz][k]
-            if t < k:
-                return comp[inv[cz]][comp[cols[t]][cz]]
+            if t < k:  # rho_z^{-1} rho_t rho_z
+                return pindex[rows[cz].translate(after[cols[t]]).translate(after[inv[cz]])]
             y = perms[inv[cz]][k]
-            if y < k:
-                return comp[comp[cz][cols[y]]][inv[cz]]
+            if y < k:  # rho_z rho_y rho_z^{-1}
+                return pindex[rows[inv[cz]].translate(after[cols[y]]).translate(after[cz])]
         return None
 
     def backtrack(k: int) -> None:
@@ -118,6 +124,8 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
             choices = (only,)
         for choice in choices:
             cols[k] = choice
+            if comp[choice] is None:
+                comp[choice] = [pindex[q.translate(after[choice])] for q in rows]
             if consistent(k):
                 backtrack(k + 1)
 
@@ -175,6 +183,7 @@ def enumerate_solutions(
                 continue
             if restrict == "biquandle" and not _is_biquandle_tables(sigma, tau, n):
                 continue
+            # _ybe_holds is slower at these sizes: the uncached n = 3 search 23 -> 32 ms
             if _ybe_witness(sigma, tau, n) is not None:
                 continue
             valid.append(Solution(n, sigma, tau))

@@ -124,7 +124,9 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
     """Validate the two tables and return a Solution.
 
     Checks non-degeneracy row by row, bijectivity of the pair map, and the
-    Yang-Baxter equation on all n^3 triples.
+    Yang-Baxter equation on all n^3 triples: by _ybe_holds when n <=
+    BYTE_BOUND, and by the exact scan _ybe_witness, which names the first
+    failing triple, when that fails or n is larger.
     """
     sigma = _freeze(sigma)
     tau = _freeze(tau)
@@ -137,13 +139,98 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
     for y in range(n):
         if not perm.is_perm(tau[y], n):
             raise DegenerateRow("tau", y)
-    if not _pair_bijective(sigma, tau, n):
+    if len(set(zip(chain.from_iterable(sigma), chain.from_iterable(zip(*tau))))) < n * n:
         raise NotInvertible("the pair map (x,y) -> (sigma_x(y), tau_y(x)) is not bijective")
-
-    witness = _ybe_witness(sigma, tau, n)
-    if witness is not None:
-        raise YBEFailure(witness)
+    if n > BYTE_BOUND or not _ybe_holds(sigma, tau, n):
+        witness = _ybe_witness(sigma, tau, n)
+        if witness is not None:
+            raise YBEFailure(witness)
     return Solution(n, sigma, tau)
+
+
+# Tables on at most this many points have every entry in a byte, so their
+# rows are bytes objects and p o q is the single C call q.translate(p + pad).
+BYTE_BOUND = 256
+
+
+def _ybe_holds(sigma: Table, tau: Table, n: int) -> bool:
+    """Whether r(x, y) = (sigma_x(y), tau_y(x)) satisfies the braid relation,
+    decided by Soloviev's criterion (Math. Res. Lett. 2000; Lebed-Vendramin,
+    Adv. Math. 2017) in O(n^2) compositions of byte rows.
+
+    Every sigma row must be a permutation of range(n), every tau entry must
+    lie in range(n), and n <= BYTE_BOUND.  Write r_1 = r x id and
+    r_2 = id x r on X^3, and define the derived operation
+      x < w = sigma_w(tau_{sigma_x^{-1}(w)}(x)),  so  x < sigma_x(y) = sigma_a(b)
+    with (a, b) = r(x, y).  Then r is a solution exactly when
+      (1) sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for all x, y,
+      (2) < is right self-distributive, and
+      (3) every sigma_x is an endomorphism of <.
+
+    Proof.  Let J(x, y, z) = (x, sigma_x(y), sigma_x sigma_y(z)).  This is
+    the one step that uses non-degeneracy, and it needs only the sigma rows
+    to be permutations: then J is a bijection of X^3, undone coordinate by
+    coordinate.  Let r'(x, w) = (w, x < w), so that
+      J r_1 (x, y, z) = (a, sigma_a(b), sigma_a sigma_b(z))
+      r'_1 J (x, y, z) = (a, sigma_a(b), sigma_x sigma_y(z))
+    with (a, b) = r(x, y): J r_1 J^{-1} = r'_1 iff (1).  With
+    (c, d) = r(y, z), that is c = sigma_y(z), the second map's last point
+    reads y < c = sigma_c(d), and
+      J r_2 (x, y, z) = (x, sigma_x(c), sigma_x(y < c))
+      r'_2 J (x, y, z) = (x, sigma_x(c), sigma_x(y) < sigma_x(c)),
+    where c runs over all of X as z does: J r_2 J^{-1} = r'_2 iff (3).
+    The two sides of the braid relation of r' send (x, y, z) to
+    (z, y < z, (x < y) < z) and (z, y < z, (x < z) < (y < z)): r' is a
+    solution iff (2).  So (1) and (3) make r = J^{-1} r' J factorwise, and
+    then r is a solution iff r' is, iff (2).  Conversely, if r is a
+    solution, the first point of its braid relation on (x, y, z) is
+    sigma_a sigma_b(z) = sigma_x sigma_y(z), which is (1).  Then
+    R = J r_2 J^{-1} maps (x, u, v) to (x, v, u <_x v), where
+    u <_x v = sigma_x(sigma_x^{-1}(u) < sigma_x^{-1}(v)).  Conjugated by J,
+    the braid relation reads r'_1 R r'_1 = R r'_1 R, and the middle points
+    of its two sides at (x, u, v) are u < v and u <_x v, which is (3).  []
+
+    For a solution, < is its right structure rack (derived.structure_racks).
+    Here (1) is checked a row x at a time, each side one bytes object of the
+    n products over y; (2) says that every right translation of < preserves
+    <, and (3) that every sigma_x does, which _preserve checks together.
+    This answers only yes or no: _ybe_witness stays the exact scan that
+    finds the first failing triple when this fails, and the check for
+    n > BYTE_BOUND.
+    """
+    pad = bytes(BYTE_BOUND - n)
+    rows = [bytes(row) for row in sigma]
+    after = [row + pad for row in rows]  # q.translate(after[x]) = sigma_x o q
+    sigmas = b"".join(rows)  # sigmas.translate(after[x]) holds sigma_x sigma_y for each y
+    ident = bytes(range(n))
+    ops = []  # ops[x][w] = x < w
+    for x, (sigma_x, col) in enumerate(zip(rows, zip(*tau))):
+        # over y, (a, b) = r(x, y) runs through zip(sigma_x, col)
+        products = map(bytes.translate, map(rows.__getitem__, col), map(after.__getitem__, sigma_x))
+        if sigmas.translate(after[x]) != b"".join(products):  # (1)
+            return False
+        # (x < sigma_x(y))_y = (sigma_a(b))_y, composed with sigma_x^{-1}
+        below = bytes(map(bytes.__getitem__, map(rows.__getitem__, sigma_x), col))
+        ops.append(bytes.maketrans(sigma_x, ident)[:n].translate(below + pad))
+    # (2) and (3): every right translation of < and every sigma_x preserve <
+    flat = b"".join(ops)
+    return _preserve(ops, [flat[w::n] for w in range(n)] + rows, n)
+
+
+def _preserve(op: list[bytes], maps: list[bytes], n: int) -> bool:
+    """Whether every map f satisfies f(u > v) = f(u) > f(v), where op[u][v]
+    is u > v.  Row u of the left side is f o (u > .) and of the right side
+    (f(u) > .) o f: one translation of the whole table and n of rows for
+    each distinct f.
+    """
+    pad = bytes(BYTE_BOUND - n)
+    flat = b"".join(op)
+    after = [row + pad for row in op]  # q.translate(after[u]) = (u > .) o q
+    return all(
+        flat.translate(f + pad)
+        == b"".join(map(bytes.translate, repeat(f), map(after.__getitem__, f)))
+        for f in set(maps)
+    )
 
 
 def _ybe_witness(sigma: Table, tau: Table, n: int) -> Optional[tuple[int, int, int]]:
@@ -187,7 +274,12 @@ def _ybe_witness(sigma: Table, tau: Table, n: int) -> Optional[tuple[int, int, i
 
 
 def _pair_bijective(sigma, tau, n: int) -> bool:
-    """Whether the pair map (x, y) -> (sigma_x(y), tau_y(x)) is a bijection."""
+    """Whether the pair map (x, y) -> (sigma_x(y), tau_y(x)) is a bijection.
+
+    A loop that stops at the first repeated pair, for the census's many
+    candidates with n <= 3; there it beats the set of all n^2 zipped pairs
+    that verify_solution builds.
+    """
     seen = set()
     for x in range(n):
         for y in range(n):
@@ -236,18 +328,35 @@ def invert_solution(s: Solution) -> Solution:
 
 
 def verify_rack(op: Sequence[Sequence[int]]) -> Rack:
-    """Validate a rack table and return a Rack."""
+    """Validate a rack table and return a Rack.
+
+    Self-distributivity is decided by _sd_holds when n <= BYTE_BOUND, and by
+    the exact scan _sd_witness, which names the first failing triple, when
+    that fails or n is larger.
+    """
     op = _freeze(op)
     n = len(op)
     if n == 0 or any(len(row) != n for row in op):
         raise ValueError("op must be a non-empty n x n table")
-    for y in range(n):
-        if not perm.is_perm(tuple(op[x][y] for x in range(n)), n):
+    for y, column in enumerate(zip(*op)):
+        if not perm.is_perm(column, n):
             raise NonBijectiveTranslation(y)
-    witness = _sd_witness(op, n)
-    if witness is not None:
-        raise SelfDistributivityFailure(witness)
+    if n > BYTE_BOUND or not _sd_holds(op, n):
+        witness = _sd_witness(op, n)
+        if witness is not None:
+            raise SelfDistributivityFailure(witness)
     return Rack(n, op)
+
+
+def _sd_holds(op: Sequence[Sequence[int]], n: int) -> bool:
+    """Whether op is right self-distributive, for entries in range(n) and
+    n <= BYTE_BOUND: whether every right translation rho_z preserves op,
+    rho_z(x > y) = rho_z(x) > rho_z(y).  Only yes or no, so _sd_witness
+    finds the first failing triple.
+    """
+    rows = [bytes(row) for row in op]
+    flat = b"".join(rows)
+    return _preserve(rows, [flat[z::n] for z in range(n)], n)
 
 
 def _sd_witness(op: Table, n: int) -> Optional[tuple[int, int, int]]:
@@ -287,35 +396,35 @@ def sd_solutions(rk: Rack) -> tuple[Solution, Solution]:
     return Solution(n, ident, rho), Solution(n, rho, ident)
 
 
-def _partition_from_perms(n: int, perms: list[perm.Perm]) -> tuple[tuple[int, ...], ...]:
-    parent = list(range(n))
+def _partition_from_perms(n: int, perms: Sequence[perm.Perm]) -> tuple[tuple[int, ...], ...]:
+    """The orbits of the permutations, each sorted, in order of least point.
 
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for p in perms:
-        for x in range(n):
-            ra, rb = find(x), find(p[x])
-            if ra != rb:
-                parent[ra] = rb
-    blocks: dict[int, list[int]] = {}
-    for x in range(n):
-        blocks.setdefault(find(x), []).append(x)
-    return tuple(tuple(sorted(b)) for b in sorted(blocks.values()))
+    Each orbit grows from its least point a layer at a time: the images of
+    the newest points under every distinct permutation, gathered by map.
+    """
+    gens = set(perms)
+    blocks = []
+    unseen = set(range(n))
+    for start in range(n):
+        if start not in unseen:
+            continue
+        orbit, layer = {start}, [start]
+        while layer:
+            layer = set().union(*[map(p.__getitem__, layer) for p in gens]) - orbit
+            orbit |= layer
+        unseen -= orbit
+        blocks.append(tuple(sorted(orbit)))
+    return tuple(blocks)
 
 
 def rack_orbits(rk: Rack) -> tuple[tuple[int, ...], ...]:
     """Partition of X under all right translations; block count is K."""
-    return _partition_from_perms(rk.n, [rk.rho(y) for y in range(rk.n)])
+    return _partition_from_perms(rk.n, tuple(zip(*rk.op)))
 
 
 def solution_orbits(s: Solution) -> tuple[tuple[int, ...], ...]:
     """Partition of X under all sigma_z and tau_z; block count is k_r."""
-    perms = [s.sigma[z] for z in range(s.n)] + [s.tau[z] for z in range(s.n)]
-    return _partition_from_perms(s.n, list(perms))
+    return _partition_from_perms(s.n, s.sigma + s.tau)
 
 
 def chain_periods(rk: Rack) -> ChainReport:

@@ -9,7 +9,9 @@ import pytest
 from ybe import perm
 from ybe.core import (
     Solution,
+    _sd_holds,
     _sd_witness,
+    _ybe_holds,
     _ybe_witness,
     verify_rack,
     verify_solution,
@@ -240,3 +242,141 @@ def test_cable_validates_nothing(monkeypatch):
     assert c.n == 13
     # the cable of a solution is a solution, so its output is not re-checked
     assert calls == {}
+
+
+def _left_nondegenerate_maps(n):
+    """Every (sigma, tau) on n points with permutation sigma rows."""
+    perms = perm.all_perms(n)
+    rows = list(product(range(n), repeat=n))
+    for sigma in product(perms, repeat=n):
+        for tau in product(rows, repeat=n):
+            yield sigma, tau
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_ybe_predicate_on_every_census_candidate(n):
+    perms = perm.all_perms(n)
+    valid = 0
+    for sigma in product(perms, repeat=n):
+        for tau in product(perms, repeat=n):
+            holds = _ybe_holds(sigma, tau, n)
+            assert holds == (ybe_oracle(sigma, tau, n) is None), (sigma, tau)
+            valid += holds
+    assert valid > 0
+
+
+def test_ybe_predicate_on_every_left_nondegenerate_map_at_n2():
+    maps = list(_left_nondegenerate_maps(2))
+    assert len(maps) == 64
+    for sigma, tau in maps:
+        assert _ybe_holds(sigma, tau, 2) == (ybe_oracle(sigma, tau, 2) is None), (sigma, tau)
+
+
+@pytest.mark.slow
+def test_ybe_predicate_on_every_left_nondegenerate_map_at_n3():
+    count = 0
+    for sigma, tau in _left_nondegenerate_maps(3):
+        assert _ybe_holds(sigma, tau, 3) == (ybe_oracle(sigma, tau, 3) is None), (sigma, tau)
+        count += 1
+    assert count == 6 ** 3 * 3 ** 9 == 4_251_528
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+def test_ybe_predicate_on_random_left_nondegenerate_maps(n):
+    rng = random.Random(2000 + n)
+    for trial in range(300):
+        sigma = _perm_rows(rng, n)
+        tau = _perm_rows(rng, n) if trial % 2 else _table(rng, n)
+        assert _ybe_holds(sigma, tau, n) == (ybe_oracle(sigma, tau, n) is None), (sigma, tau)
+    for sigma, tau in (_affine_sd(5, 2), _lyubashenko(6)):
+        m = len(sigma)
+        for bad in _swaps(tau):
+            assert _ybe_holds(sigma, bad, m) == (ybe_oracle(sigma, bad, m) is None), bad
+
+
+def test_predicates_accept_every_fixture(fixture_and_sd_solutions, rack_fixtures):
+    for s in fixture_and_sd_solutions:
+        assert _ybe_holds(s.sigma, s.tau, s.n)
+    for rk in rack_fixtures.values():
+        assert _sd_holds(rk.op, rk.n)
+
+
+def test_derived_operation_is_the_right_structure_rack(fixture_and_sd_solutions):
+    # x < w = sigma_w(tau_{sigma_x^{-1}(w)}(x)), the rack that _ybe_holds checks
+    for s in fixture_and_sd_solutions:
+        inv = [perm.inverse(row) for row in s.sigma]
+        op = tuple(
+            tuple(s.sigma[w][s.tau[inv[x][w]][x]] for w in range(s.n)) for x in range(s.n)
+        )
+        assert op == structure_racks(s).right.op
+
+
+def test_sd_predicate_matches_the_oracle():
+    for n in (1, 2, 3):
+        perms = perm.all_perms(n)
+        for cols in product(perms, repeat=n):
+            op = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
+            assert _sd_holds(op, n) == (sd_oracle(op, n) is None), op
+    rng = random.Random(6)
+    for n in range(1, 7):
+        for _ in range(300):
+            op = _table(rng, n)
+            assert _sd_holds(op, n) == (sd_oracle(op, n) is None), op
+    for p, a in [(5, 2), (7, 3)]:
+        for bad in _swaps(_affine_rack(p, a)):
+            assert _sd_holds(bad, p) == (sd_oracle(bad, p) is None), bad
+
+
+def _swap(table, row, i, j):
+    rows = [list(r) for r in table]
+    rows[row][i], rows[row][j] = rows[row][j], rows[row][i]
+    return tuple(map(tuple, rows))
+
+
+@pytest.mark.parametrize("tables,where", [
+    (_lyubashenko(128), "sigma"),
+    (_lyubashenko(128), "tau"),
+    (_affine_sd(97, 3), "tau"),
+])
+def test_verify_solution_reports_the_exact_witness_on_large_tables(tables, where):
+    # a swap inside a row keeps the rows permutations and, for these
+    # families, the pair map bijective, so only the braid relation fails
+    sigma, tau = tables
+    n = len(sigma)
+    rng = random.Random(n)
+    i, j = rng.sample(range(n), 2)
+    row = rng.randrange(n)
+    if where == "sigma":
+        sigma = _swap(sigma, row, i, j)
+    else:
+        tau = _swap(tau, row, i, j)
+    assert not _ybe_holds(sigma, tau, n)
+    with pytest.raises(YBEFailure) as err:
+        verify_solution(sigma, tau)
+    assert err.value.triple == _ybe_witness(sigma, tau, n) is not None
+
+
+def test_verify_rack_reports_the_exact_witness_on_a_large_table():
+    p = 127
+    columns = tuple(zip(*_affine_rack(p, 3)))
+    rng = random.Random(p)
+    for _ in range(2):
+        i, j = rng.sample(range(p), 2)
+        bad = tuple(zip(*_swap(columns, rng.randrange(p), i, j)))
+        assert not _sd_holds(bad, p)
+        with pytest.raises(SelfDistributivityFailure) as err:
+            verify_rack(bad)
+        assert err.value.triple == _sd_witness(bad, p) is not None
+
+
+def test_verify_accepts_a_256_point_table_without_the_exact_scan(monkeypatch):
+    from ybe import core
+
+    def refuse(*args):
+        raise AssertionError("the exact scan ran on a valid table")
+
+    monkeypatch.setattr(core, "_ybe_witness", refuse)
+    monkeypatch.setattr(core, "_sd_witness", refuse)
+    sigma, tau = _lyubashenko(256)
+    assert verify_solution(sigma, tau).n == 256
+    assert verify_rack(_affine_rack(251, 3)).n == 251
