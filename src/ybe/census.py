@@ -65,15 +65,12 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
     if n > bound:
         raise SizeTooLarge(f"rack census bound is {bound}, got {n}")
     perms = perm.all_perms(n)
-    # A product is composed as bytes, q.translate(p + pad), and the row
-    # comp[c] of products with left factor perms[c] is built only when c is
-    # first chosen as a column: every product consistent reads has a chosen
-    # left factor.
+    # A product is composed as bytes, q.translate(p + pad).
     rows = [bytes(p) for p in perms]
     after = [row + bytes(BYTE_BOUND - n) for row in rows]  # q.translate(after[i]) = perms[i] o q
     pindex = {row: i for i, row in enumerate(rows)}
     inv = [pindex[bytes(perm.inverse(p))] for p in perms]
-    comp: list[Optional[list[int]]] = [None] * len(perms)  # comp[i][j]: perms[i] o perms[j]
+    comp = [[pindex[q.translate(a)] for q in rows] for a in after]  # comp[i][j]: perms[i] o perms[j]
     if quandles_only:
         free = [[i for i, p in enumerate(perms) if p[k] == k] for k in range(n)]
     else:
@@ -124,8 +121,6 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
             choices = (only,)
         for choice in choices:
             cols[k] = choice
-            if comp[choice] is None:
-                comp[choice] = [pindex[q.translate(after[choice])] for q in rows]
             if consistent(k):
                 backtrack(k + 1)
 
