@@ -14,6 +14,7 @@ from .derived import cable
 from .errors import (
     CosetLimitExceeded,
     InvalidInput,
+    InvariantViolation,
     SizeTooLarge,
     UnknownName,
     YBEError,
@@ -32,6 +33,7 @@ EXIT_OK = 0
 EXIT_INVALID = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 3
+EXIT_INTERNAL = 4
 
 
 class _UsageError(Exception):
@@ -302,6 +304,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except InvariantViolation as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (CosetLimitExceeded, SizeTooLarge) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -69,6 +69,11 @@ class CosetLimitExceeded(YBEError):
         )
 
 
+class InvariantViolation(YBEError):
+    """A result broke an invariant that its algorithm guarantees (a bug).
+    The CLI exits with code 4."""
+
+
 class NotInvolutive(YBEError):
     """An involutive-only operation was applied to a non-involutive solution."""
 

@@ -17,7 +17,7 @@ from typing import Sequence
 from . import perm
 from .core import _MEMO, Rack, Solution, is_biquandle, per_input, sd_solutions
 from .derived import _quotient_solution, induced_biquandle
-from .errors import CosetLimitExceeded
+from .errors import CosetLimitExceeded, InvariantViolation
 from .words import Word, _rack_degree, degrees, free_reduce
 
 DEFAULT_COSET_CAP = 10**6
@@ -25,8 +25,13 @@ DEFAULT_COSET_CAP = 10**6
 
 @dataclass(frozen=True)
 class Presentation:
+    """<generators | relators>.  `implied` lists further relators that hold
+    in this group by a theorem; coset enumeration checks them at the end
+    but does not enumerate over them."""
+
     generator_count: int
     relators: tuple[Word, ...]
+    implied: tuple[Word, ...] = ()
     _memo: dict = field(**_MEMO)
 
 
@@ -36,18 +41,16 @@ class AbelianInvariants:
     torsion: tuple[int, ...]  # invariant factors >= 2, each dividing the next
 
 
+def _pair_relator(s: Solution, x: int, y: int) -> Word:
+    u, v = s.r(x, y)
+    return free_reduce(((x, 1), (y, 1), (v, -1), (u, -1)))
+
+
 @per_input
 def structure_presentation(s: Solution) -> Presentation:
     """<X | x y = sigma_x(y) tau_y(x)>, one relator per ordered pair."""
-    seen = set()
-    relators = []
-    for x in range(s.n):
-        for y in range(s.n):
-            u, v = s.r(x, y)
-            w = free_reduce(((x, 1), (y, 1), (v, -1), (u, -1)))
-            if w and w not in seen:
-                seen.add(w)
-                relators.append(w)
+    relators = dict.fromkeys(_pair_relator(s, x, y) for x in range(s.n) for y in range(s.n))
+    relators.pop((), None)
     return Presentation(s.n, tuple(relators))
 
 
@@ -189,31 +192,75 @@ def abelianization(p: Presentation) -> AbelianInvariants:
 
 
 # ---------------------------------------------------------------------------
-# Todd-Coxeter coset enumeration (trivial subgroup, HLT-style scanning)
+# Todd-Coxeter coset enumeration over the trivial subgroup, Felsch strategy
+# (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005,
+# sections 5.1-5.2; Havas, ISSAC 1991)
+
+
+def _word_to_symbols(w: Word) -> list[int]:
+    return [2 * g if e > 0 else 2 * g + 1 for g, e in w]
+
+
+@per_input
+def _relator_cycles(p: Presentation) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
+    """For each symbol x, the distinct cyclic conjugates w = x u that begin
+    with x of the relators and their inverses, each relator cyclically
+    reduced first, as pairs (u, w^-1).
+
+    A relator holds at every coset exactly when each of its cyclic
+    conjugates does.
+    """
+    cycles: list[dict] = [{} for _ in range(2 * p.generator_count)]
+    for w in p.relators:
+        syms = _word_to_symbols(w)
+        while len(syms) > 1 and syms[0] == syms[-1] ^ 1:
+            syms = syms[1:-1]
+        inv, n = [x ^ 1 for x in reversed(syms)], len(syms)
+        for word, other in ((syms, inv), (inv, syms)):
+            # the k-th rotation of word is twice[k:k + n]; its inverse is
+            # the (n - k)-th rotation of other
+            twice, other_twice = word * 2, other * 2
+            for k in range(n):
+                cycles[word[k]][tuple(twice[k + 1:k + n])] = tuple(other_twice[n - k:2 * n - k])
+    return tuple(tuple(c.items()) for c in cycles)
 
 
 class _CosetTable:
-    """Coset table over symbols 2g (generator g) and 2g+1 (its inverse)."""
+    """A coset table over symbols 2g (generator g) and 2g+1 (its inverse).
 
-    def __init__(self, ngens: int, cap: int):
-        self.nsym = 2 * ngens
+    The table is flat, and a coset c is named in it by its row offset
+    c * nsym: row c sends symbol x to table[c * nsym + x], the offset of the
+    image coset, or -1 while undefined.  p is the union-find forest of
+    coincidences, over coset numbers.  Every entry set since it was last
+    scanned waits on `deductions` as its index c * nsym + x.
+    """
+
+    def __init__(self, p: Presentation, cap: int):
+        self.nsym = 2 * p.generator_count
+        self.cycles = _relator_cycles(p)
         self.cap = cap
-        self.table: list[list[int | None]] = [[None] * self.nsym]
-        self.p = [0]  # union-find forest for coincidences
+        self.blank = [-1] * self.nsym
+        self.table = list(self.blank)
+        self.p = [0]
+        self.live = 1
+        self.deductions: list[int] = []
         self.queue: deque[int] = deque()
 
-    def alive(self, a: int) -> bool:
-        return self.p[a] == a
-
     def define(self, a: int, x: int) -> None:
-        if len(self.table) >= self.cap:
-            live = sum(map(self.alive, range(len(self.p))))
-            raise CosetLimitExceeded(self.cap, len(self.table), live)
+        """A new coset as the image of offset a under symbol x."""
+        if self.live >= self.cap:
+            raise CosetLimitExceeded(self.cap, len(self.p), self.live)
+        self.p.append(len(self.p))
+        self.live += 1
         b = len(self.table)
-        self.table.append([None] * self.nsym)
-        self.p.append(b)
-        self.table[a][x] = b
-        self.table[b][x ^ 1] = a
+        self.table += self.blank
+        self._set(a, x, b)
+
+    def _set(self, a: int, x: int, b: int) -> None:
+        """Set a.x = b and b.x^-1 = a (offsets), and queue the entry."""
+        self.table[a + x] = b
+        self.table[b + (x ^ 1)] = a
+        self.deductions.append(a + x)
 
     def rep(self, k: int) -> int:
         root = k
@@ -228,95 +275,134 @@ class _CosetTable:
         if a != b:
             lo, hi = min(a, b), max(a, b)
             self.p[hi] = lo
+            self.live -= 1
             self.queue.append(hi)
 
     def coincidence(self, a: int, b: int) -> None:
-        self._merge(a, b)
+        """Identify the cosets at offsets a and b, and every pair this
+        forces; the surviving coset is the least, and each entry it takes
+        over from a dead one is queued for scanning."""
+        t, nsym = self.table, self.nsym
+        self._merge(a // nsym, b // nsym)
         while self.queue:
             e = self.queue.popleft()
-            for x in range(self.nsym):
-                d = self.table[e][x]
-                if d is None:
+            for x in range(nsym):
+                d = t[e * nsym + x]
+                if d < 0:
                     continue
-                self.table[d][x ^ 1] = None
-                mu, nu = self.rep(e), self.rep(d)
-                if self.table[mu][x] is not None:
-                    self._merge(nu, self.table[mu][x])
-                elif self.table[nu][x ^ 1] is not None:
-                    self._merge(mu, self.table[nu][x ^ 1])
+                t[d + (x ^ 1)] = -1
+                mu, nu = self.rep(e), self.rep(d // nsym)
+                if t[mu * nsym + x] >= 0:
+                    self._merge(nu, t[mu * nsym + x] // nsym)
+                elif t[nu * nsym + (x ^ 1)] >= 0:
+                    self._merge(mu, t[nu * nsym + (x ^ 1)] // nsym)
                 else:
-                    self.table[mu][x] = nu
-                    self.table[nu][x ^ 1] = mu
+                    self._set(mu * nsym, x, nu * nsym)
 
-    def scan_and_fill(self, a: int, w: list[int]) -> None:
-        f, i = a, 0
-        b, j = a, len(w) - 1
-        while True:
-            while i <= j and self.table[f][w[i]] is not None:
-                f = self.table[f][w[i]]
-                i += 1
-            if i > j:
-                if f != b:
-                    self.coincidence(f, b)
-                return
-            while j >= i and self.table[b][w[j] ^ 1] is not None:
-                b = self.table[b][w[j] ^ 1]
-                j -= 1
-            if j < i:
-                self.coincidence(f, b)
-                return
-            if i == j:
-                self.table[f][w[i]] = b
-                self.table[b][w[i] ^ 1] = f
-                return
-            self.define(f, w[i])
+    def process_deductions(self) -> None:
+        """Scan the relator cycles through each queued entry a.x = b, while
+        a is live: those that begin with x, traced from b after their first
+        letter, and backwards from a along their inverse.  If the traces
+        meet, their ends coincide; if one entry is missing between them, it
+        is deduced.  Nothing is defined.
 
-
-def _word_to_symbols(w: Word) -> list[int]:
-    return [2 * g if e > 0 else 2 * g + 1 for g, e in w]
+        The cycles are closed under inversion, so these scans follow every
+        closed relator path through the edge from a to b, in both
+        directions; the cycles that begin with x^-1 need no scan at b.
+        """
+        t, p, nsym, cycles, stack = self.table, self.p, self.nsym, self.cycles, self.deductions
+        while stack:
+            e = stack.pop()
+            c, x = divmod(e, nsym)
+            if p[c] != c:
+                continue
+            a = e - x
+            for tail, back in cycles[x]:
+                f, i = t[e], 0
+                for s in tail:
+                    d = t[f + s]
+                    if d < 0:
+                        break
+                    f, i = d, i + 1
+                else:
+                    if f != a:
+                        self.coincidence(f, a)
+                        if p[c] != c:
+                            break
+                    continue
+                b, j = a, len(tail) - 1
+                for s in back:
+                    d = t[b + s]
+                    if d < 0:
+                        break
+                    b, j = d, j - 1
+                    if j < i:
+                        # b.tail[i] leads back to where f.tail[i] must lead
+                        self.coincidence(f, b)
+                        break
+                if j == i:
+                    self._set(f, tail[i], b)
+                elif j < i and p[c] != c:
+                    break
 
 
 def coset_enumeration(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> list[perm.Perm]:
-    """Enumerate cosets of the trivial subgroup.
+    """Enumerate the cosets of the trivial subgroup, at most `cap` live at once.
 
     Returns the action of each generator on the cosets of the (finite)
-    quotient: a list of generator_count permutations, with coset 0 the
-    identity coset.
+    quotient: a list of generator_count permutations.  The cosets are in
+    standard order: breadth-first from the identity coset 0 over the
+    symbols g0, g0^-1, g1, g1^-1, ..., so the result depends only on the
+    group and its generators, not on how the table was filled.
+
+    The Felsch strategy fills the first undefined entry, then scans every
+    relator through each new entry before the next definition.  The closing
+    check traces every relator at every coset.  The relators in
+    p.implied are traced at coset 0 only: the table of the enumerated
+    relators is the regular action, coset c being the element g_c, so a
+    word fixes c exactly when it is trivial, exactly when it fixes 0.
     """
-    rel_syms = [_word_to_symbols(w) for w in p.relators]
-    ct = _CosetTable(p.generator_count, cap)
-    i = 0
-    while i < len(ct.table):
-        if ct.alive(i):
-            for w in rel_syms:
-                if not ct.alive(i):
-                    break
-                ct.scan_and_fill(i, w)
-            if ct.alive(i):
-                for x in range(ct.nsym):
-                    if ct.table[i][x] is None:
-                        ct.define(i, x)
-        i += 1
-    live = [c for c in range(len(ct.table)) if ct.alive(c)]
-    index = {c: k for k, c in enumerate(live)}
-    actions = []
+    ct = _CosetTable(p, cap)
+    t, nsym = ct.table, ct.nsym
+    c = 0
+    while c < len(ct.p):
+        for x in range(nsym):
+            if ct.p[c] != c:
+                break
+            if t[c * nsym + x] < 0:
+                ct.define(c * nsym, x)
+                ct.process_deductions()
+        c += 1
+    # renumber the live cosets in standard order
+    new = [-1] * len(ct.p)
+    new[0] = 0
+    order = [0]
+    for c in order:
+        for d in t[c * nsym:(c + 1) * nsym]:
+            if d < 0:
+                raise InvariantViolation(f"coset {c} has an undefined entry")
+            d //= nsym
+            if new[d] < 0:
+                new[d] = len(order)
+                order.append(d)
+    sym = [tuple(new[t[c * nsym + x] // nsym] for c in order) for x in range(nsym)]
+    ident = list(range(len(order)))
     for g in range(p.generator_count):
-        images = []
-        for c in live:
-            d = ct.table[c][2 * g]
-            assert d is not None
-            images.append(index[ct.rep(d)])
-        assert perm.is_perm(tuple(images), len(live))
-        actions.append(tuple(images))
-    # final consistency check: every relator closes at every coset
-    sym_actions = [act for a in actions for act in (a, perm.inverse(a))]
-    for w in rel_syms:
-        for c in range(len(live)):
-            cur = c
-            for x in w:
-                cur = sym_actions[x][cur]
-            assert cur == c
-    return actions
+        if list(map(sym[2 * g + 1].__getitem__, sym[2 * g])) != ident:
+            raise InvariantViolation(f"generator {g} does not act as a permutation")
+    for w in p.relators:
+        cur = ident
+        for x in _word_to_symbols(w):
+            cur = list(map(sym[x].__getitem__, cur))
+        if cur != ident:
+            raise InvariantViolation(f"relator {w} fails on the coset table")
+    for w in p.implied:
+        c = 0
+        for x in _word_to_symbols(w):
+            c = sym[x][c]
+        if c:
+            raise InvariantViolation(f"implied relator {w} fails at the identity coset")
+    return sym[::2]
 
 
 # ---------------------------------------------------------------------------
@@ -478,6 +564,74 @@ def group_from_actions(actions: Sequence[perm.Perm], presentation: Presentation)
 # Finite quotients of structure groups
 
 
+def _rack_generators(rho: Sequence[perm.Perm]) -> list[int]:
+    """A generating set of the rack with right translations rho[y] = (x ->
+    x < y), chosen greedily: y joins when the subrack generated by the
+    earlier choices misses it.  A finite subrack is closed under < alone,
+    since each x <^-1 y is a power of rho[y] applied to x.
+    """
+    inside = [False] * len(rho)
+    members: list[int] = []
+    gens = []
+    done = 0
+    for y in range(len(rho)):
+        if inside[y]:
+            continue
+        gens.append(y)
+        inside[y] = True
+        members.append(y)
+        # each new member e is combined with every member before it, both ways
+        while done < len(members):
+            e = members[done]
+            done += 1
+            for c in members[:done]:
+                for z in (rho[e][c], rho[c][e]):
+                    if not inside[z]:
+                        inside[z] = True
+                        members.append(z)
+    return gens
+
+
+def _quotient_presentation(s: Solution, powers: tuple[Word, ...]) -> Presentation:
+    """The structure presentation of s with the relators `powers` added.
+
+    For a self-distributive s only the relators of the pairs through a
+    generating set S of the structure rack are enumerated; the others
+    follow from them and are kept in `implied`.
+
+    sigma = id: the relators read x y = y (x < y), with x < y = tau_y(x)
+    the structure rack.  Let R_y be those with second letter y, that is
+    x^y = x < y for every x, where x^y = y^-1 x y.  If R_y and R_z hold,
+    so do R_(y<z) and R_(y<^-1 z): R_z gives y < z = y^z and
+    x^(z^-1) = x <^-1 z, and right self-distributivity gives
+
+        x^(y<z) = ((x^(z^-1))^y)^z = ((x <^-1 z) < y) < z = x < (y < z),
+        x^(y<^-1 z) = ((x^z)^y)^(z^-1) = ((x < z) < y) <^-1 z = x < (y <^-1 z).
+
+    So R_y holds for every y in the subrack generated by S, which is X.
+
+    tau = id: the relators read x y = sigma_x(y) x.  Reversing every word
+    is an anti-automorphism of the free group; it maps the normal closure
+    of a set of relators onto that of their reversals, which read
+    y x = x (y < x) with y < x = sigma_x(y), a right rack.  That is the
+    case above, its R_x being the reversed relators with first letter x.
+    So the relators with first letter in a generating set S of that rack
+    suffice.  Both arguments only need the group to satisfy the kept
+    relators, so `powers` may be added to either side.
+    """
+    full = structure_presentation(s).relators
+    n, ident = s.n, perm.identity(s.n)
+    if all(row == ident for row in s.sigma):
+        pairs = [(x, y) for y in _rack_generators(s.tau) for x in range(n)]
+    elif all(row == ident for row in s.tau):
+        pairs = [(x, y) for x in _rack_generators(s.sigma) for y in range(n)]
+    else:
+        return Presentation(n, full + powers)
+    kept = dict.fromkeys(_pair_relator(s, x, y) for x, y in pairs)
+    kept.pop((), None)
+    return Presentation(n, tuple(kept) + powers, tuple(w for w in full if w not in kept))
+
+
 @per_input
 def finite_quotient(
     s: Solution, coset_cap: int = DEFAULT_COSET_CAP
@@ -493,7 +647,7 @@ def finite_quotient(
         bq, proj = induced_biquandle(s)
         fg, iota = finite_quotient(bq, coset_cap)
         return fg, tuple(iota[proj[x]] for x in range(s.n))
-    quotient = Presentation(s.n, structure_presentation(s).relators + degrees(s).twisted_powers)
+    quotient = _quotient_presentation(s, degrees(s).twisted_powers)
     fg = group_from_actions(coset_enumeration(quotient, coset_cap), quotient)
     return fg, fg.gen_images
 
@@ -506,11 +660,10 @@ def rack_finite_quotient(
     if variant not in ("right", "left"):
         raise ValueError("variant must be 'right' or 'left'")
     sol = sd_solutions(rk)[0 if variant == "right" else 1]
-    pres = structure_presentation(sol)
     power_relators = tuple(
         tuple((x, 1) for _ in range(_rack_degree(rk.rho(x)))) for x in range(rk.n)
     )
-    quotient = Presentation(rk.n, pres.relators + power_relators)
+    quotient = _quotient_presentation(sol, power_relators)
     return group_from_actions(coset_enumeration(quotient, coset_cap), quotient)
 
 

@@ -16,7 +16,7 @@ from .core import (
 )
 from .derived import mp_level as mp_tower
 from .derived import structure_racks
-from .errors import NotInvolutive
+from .errors import InvariantViolation, NotInvolutive
 from .fpgroups import (
     DEFAULT_COSET_CAP,
     _generator_keys,
@@ -146,7 +146,11 @@ def sd_dichotomy(rk: Rack, coset_cap: int = DEFAULT_COSET_CAP) -> SDVerdict:
             if iota[x] != iota[rk.op[x][y]]:
                 return SDVerdict("TORSION_NONABELIAN", ("separated", x, rk.op[x][y]))
     tower = mp_tower(sol)
-    assert tower.mp_level is not None and tower.mp_level <= 2
+    if tower.mp_level is None or tower.mp_level > 2:
+        raise InvariantViolation(
+            "generators equal in the finite quotient, but the multipermutation "
+            f"level is {tower.mp_level}, not at most 2"
+        )
     return SDVerdict("FREE_ABELIAN", None)
 
 

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ybe.cli import (
+    EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
     EXIT_RESOURCE,
@@ -105,6 +106,36 @@ def test_quotient_command(capsys):
     assert code == EXIT_OK
     assert "order: 48" in out
     assert "distinct generator images: 12 of 12" in out
+
+
+def test_quotient_output_survives_optimized_python(capsys):
+    # the closing checks are typed errors, not asserts, so python -O runs them
+    # and prints the same
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    optimized = subprocess.run([sys.executable, "-O", "-m", "ybe.cli", "quotient", "rack/12pt-gl23"],
+                               env=env, capture_output=True, text=True, check=True)
+    code, out, _ = run(capsys, "quotient", "rack/12pt-gl23")
+    assert code == EXIT_OK
+    assert optimized.stdout == out
+
+
+def test_a_broken_invariant_exits_internal(capsys, monkeypatch):
+    from ybe import cli
+    from ybe.errors import InvariantViolation
+
+    def broken(*args, **kwargs):
+        raise InvariantViolation("relator fails on the coset table")
+
+    monkeypatch.setattr(cli, "rack_finite_quotient", broken)
+    code, out, err = run(capsys, "quotient", "rack/dihedral3")
+    assert code == EXIT_INTERNAL == 4
+    assert out == "" and err.startswith("internal error: relator fails")
 
 
 def test_quotient_table_flag(capsys):

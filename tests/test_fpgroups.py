@@ -9,7 +9,9 @@ from ybe import (
     AbelianInvariants,
     FiniteGroup,
     Presentation,
+    Rack,
     abelianization,
+    enumerate_racks,
     finite_quotient,
     induced_injective_solution,
     is_injective,
@@ -18,7 +20,7 @@ from ybe import (
     structure_presentation,
     verify_solution,
 )
-from ybe.errors import CosetLimitExceeded, UnknownName
+from ybe.errors import CosetLimitExceeded, InvariantViolation, UnknownName
 from ybe.fixtures import fixture_rack, fixture_solution
 from ybe.fpgroups import (
     _exponent_matrix,
@@ -29,8 +31,11 @@ from ybe.fpgroups import (
     in_row_lattice,
     smith_invariants,
 )
-from ybe.words import word_of
+from ybe.core import is_biquandle
+from ybe.derived import induced_biquandle
+from ybe.words import _rack_degree, degrees, word_of
 
+from coset_oracle import hlt_enumeration, standardize
 from table_groups import TableGroup, dense, reference_group
 
 
@@ -183,14 +188,46 @@ def test_coset_cap_enforced():
     pres = Presentation(1, (word_of(*[0] * 120),))
     with pytest.raises(CosetLimitExceeded, match=r"cap of 50 cosets \(50 defined, 50 live\)$"):
         coset_enumeration(pres, cap=50)
-    # A5 = <a, b | a^2, b^3, (ab)^5>: the cap counts every coset defined,
-    # including those a coincidence has since killed
+    # A5 = <a, b | a^2, b^3, (ab)^5> peaks at 60 live cosets: it fits under
+    # a cap of 70, and one below its peak trips
     a5 = Presentation(2, (word_of(0, 0), word_of(1, 1, 1), word_of(*[0, 1] * 5)))
+    assert len(coset_enumeration(a5, cap=70)[0]) == 60
     with pytest.raises(CosetLimitExceeded) as exc:
-        coset_enumeration(a5, cap=80)
-    assert (exc.value.cap, exc.value.defined, exc.value.live) == (80, 80, 67)
-    assert str(exc.value).endswith("cap of 80 cosets (80 defined, 67 live)")
-    assert len(coset_enumeration(a5, cap=100)[0]) == 60
+        coset_enumeration(a5, cap=59)
+    assert (exc.value.cap, exc.value.live) == (59, 59)
+    assert str(exc.value).endswith("cap of 59 cosets (59 defined, 59 live)")
+
+
+@pytest.fixture
+def cosets_defined(monkeypatch):
+    """One entry per coset that enumeration defines during the test."""
+    from ybe import fpgroups
+
+    calls = []
+    real_define = fpgroups._CosetTable.define
+
+    def counting_define(self, a, x):
+        calls.append(x)
+        real_define(self, a, x)
+
+    monkeypatch.setattr(fpgroups._CosetTable, "define", counting_define)
+    return calls
+
+
+def test_coset_cap_counts_live_cosets(cosets_defined):
+    # affine Z_17, a = 3 defines more cosets than the cap, but coincidences
+    # keep the live ones below it
+    fg, _ = finite_quotient(_affine_sd(17, 3), 1000)
+    assert fg.order == 272
+    assert len(cosets_defined) > 1000
+
+
+def test_a_failing_implied_relator_is_a_typed_error():
+    # a^2 is claimed to follow from a^3; the table of Z/3 refutes it at coset 0
+    cube = (word_of(0, 0, 0),)
+    with pytest.raises(InvariantViolation, match="implied relator"):
+        coset_enumeration(Presentation(1, cube, implied=(word_of(0, 0),)))
+    assert len(coset_enumeration(Presentation(1, cube, implied=(word_of(*[0] * 6),)))[0]) == 3
 
 
 def test_group_from_actions_identity_coset():
@@ -574,3 +611,73 @@ def test_mismatched_presentation_is_rejected():
         with pytest.raises(ValueError):
             fg.fingerprint
 
+
+# -- Felsch over the reduced relators against HLT over all of them ----------
+
+
+def _oracle_solution_quotient(s):
+    """(actions, generator images) of the finite quotient, by HLT over the
+    paper's full presentation plus the twisted powers, in standard order."""
+    if not is_biquandle(s):
+        bq, proj = induced_biquandle(s)
+        actions, iota = _oracle_solution_quotient(bq)
+        return actions, tuple(iota[proj[x]] for x in range(s.n))
+    full = Presentation(s.n, structure_presentation(s).relators + degrees(s).twisted_powers)
+    actions = standardize(hlt_enumeration(full))
+    return actions, tuple(act[0] for act in actions)
+
+
+def _oracle_rack_quotient(rk, variant):
+    sol = sd_solutions(rk)[0 if variant == "right" else 1]
+    powers = tuple(word_of(*[x] * _rack_degree(rk.rho(x))) for x in range(rk.n))
+    return standardize(hlt_enumeration(
+        Presentation(rk.n, structure_presentation(sol).relators + powers)))
+
+
+def _agrees_with_oracle(s, label):
+    fg, iota = finite_quotient(s)
+    assert (list(fg.actions), iota) == _oracle_solution_quotient(s), label
+
+
+def test_felsch_matches_hlt_on_fixtures_and_censuses(
+    fixture_and_sd_solutions, census_solutions, all_fixture_objects
+):
+    for s in list(fixture_and_sd_solutions) + list(census_solutions):
+        _agrees_with_oracle(s, s)
+    racks = [rk for rk in all_fixture_objects.values() if isinstance(rk, Rack)]
+    racks += [rk for n in range(1, 5) for rk in enumerate_racks(n).representatives]
+    assert len(racks) == 7 + 1 + 2 + 6 + 19
+    for rk in racks:
+        for variant in ("right", "left"):
+            fg = rack_finite_quotient(rk, variant)
+            assert list(fg.actions) == _oracle_rack_quotient(rk, variant), (rk, variant)
+
+
+@pytest.mark.parametrize("p, a", [(31, -1), (11, 2), (13, 2), (19, 2), (17, 3), (29, 2)])
+def test_felsch_matches_hlt_on_affine_quandles(p, a):
+    s = _affine_sd(p, a)
+    _agrees_with_oracle(s, (p, a))
+    # two points generate the rack: at most 2p pair relators, and p twisted
+    # powers, are enumerated
+    pres = finite_quotient(s)[0].presentation
+    assert len(pres.relators) <= 3 * p
+    assert set(pres.relators + pres.implied) == set(
+        structure_presentation(s).relators + degrees(s).twisted_powers)
+
+
+def test_felsch_defines_few_cosets_on_affine_z29(cosets_defined):
+    # HLT over the full relators defined 40,279 cosets here for index 812
+    fg, _ = finite_quotient(_affine_sd(29, 2))
+    assert fg.order == 812
+    assert len(cosets_defined) <= 2 * 812
+
+
+def test_left_sd_quotient_drops_relators_by_the_mirror_argument():
+    # tau = id: the relators x y = sigma_x(y) x are kept for x in a
+    # generating set of the rack y < x = sigma_x(y)
+    rk = fixture_rack("rack/12pt-gl23")
+    sol = sd_solutions(rk)[1]
+    pres = rack_finite_quotient(rk, "left").presentation
+    assert pres.implied and {w[0][0] for w in pres.relators[:-rk.n]} < set(range(rk.n))
+    assert rack_finite_quotient(rk, "left").order == 48
+    assert set(pres.relators + pres.implied) >= set(structure_presentation(sol).relators)

@@ -139,6 +139,19 @@ def test_sd_dichotomy_free_abelian_case():
     assert verdict.certificate[1] == 2  # free abelian of rank two
 
 
+def test_sd_dichotomy_checks_the_level_with_a_typed_error(monkeypatch):
+    # equal quotient images force level at most 2; a tower that says more
+    # is a bug, reported even under python -O
+    from types import SimpleNamespace
+
+    from ybe import verdicts
+    from ybe.errors import InvariantViolation
+
+    monkeypatch.setattr(verdicts, "mp_tower", lambda s: SimpleNamespace(mp_level=3))
+    with pytest.raises(InvariantViolation, match="level is 3"):
+        sd_dichotomy(fixture_rack("rack/3pt-free-image"))
+
+
 def test_sd_dichotomy_agrees_with_biorderability(rack_fixtures):
     for rk in rack_fixtures.values():
         if rk.n > 4:
