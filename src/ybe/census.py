@@ -3,13 +3,12 @@ isomorphism."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 from typing import Optional, Union
 
 from . import perm
-from .core import BYTE_BOUND, Rack, Solution
+from .core import BYTE_BOUND, Frozen, Rack, Solution
 from .core import _is_biquandle_tables, _is_involutive, _pair_bijective, _ybe_witness
 from .derived import canonical_form, structure_racks
 from .errors import SizeTooLarge
@@ -18,8 +17,7 @@ RACK_BOUND = 4
 SOLUTION_BOUND = 3
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Frozen):
     n: int
     kind: str  # rack | quandle | involutive | biquandle | all-solutions
     representatives: tuple[Union[Solution, Rack], ...]

@@ -40,8 +40,39 @@ class _UsageError(Exception):
     """An option value that parses but is out of range (exit EXIT_USAGE)."""
 
 
+def render_json(value, level: int = 0) -> str:
+    """json.dumps(value, sort_keys=True, indent=2) for JSON values whose dict
+    keys are strings, with tuples written as lists.
+
+    A list whose items are all of type int is one str.join, so the tables of
+    a document skip json's pure-Python indenting encoder; every key and
+    other scalar still goes through json.dumps.  The pieces of a container
+    are joined once, so its items are not copied again into a body string.
+    """
+    if isinstance(value, (list, tuple)):
+        brackets = "[]"
+    elif isinstance(value, dict):
+        brackets = "{}"
+    else:
+        return json.dumps(value)
+    if not value:
+        return brackets
+    pad = "\n" + "  " * (level + 1)
+    parts = [brackets[0]]
+    if isinstance(value, dict):
+        for key in sorted(value):
+            parts += (pad, json.dumps(key), ": ", render_json(value[key], level + 1), ",")
+    elif set(map(type, value)) == {int}:
+        parts += (pad, ("," + pad).join(map(str, value)), ",")
+    else:
+        for item in value:
+            parts += (pad, render_json(item, level + 1), ",")
+    parts[-1] = pad[:-2] + brackets[1]  # no comma after the last item
+    return "".join(parts)
+
+
 def render_document(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return render_json(doc) + "\n"
 
 
 def parse_document(text: str) -> dict:
@@ -127,7 +158,7 @@ def cmd_analyze(args) -> int:
         verdict = sd_dichotomy(obj, cap)
         payload["rack_dichotomy"] = verdict.verdict
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2, default=list))
+        print(render_json(payload))
     else:
         for key in sorted(payload):
             value = payload[key]
@@ -201,7 +232,7 @@ def cmd_enumerate(args) -> int:
             for canon, sols in groups.items()
         ]
     if args.json:
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(render_json(payload))
     else:
         print(f"{payload['kind']} census, size {payload['size']}: "
               f"{payload['class_count']} classes, {payload['total_labeled']} labeled")
@@ -239,7 +270,7 @@ def cmd_catalog(args) -> int:
             {"name": name, "schema": catalog()[name]["schema"], "n": catalog()[name]["n"]}
             for name in names
         ]
-        print(json.dumps(payload, sort_keys=True, indent=2))
+        print(render_json(payload))
     else:
         for name in names:
             doc = catalog()[name]

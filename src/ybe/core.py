@@ -9,8 +9,6 @@ Elements are always 0-based integers.
 
 from __future__ import annotations
 
-import inspect
-from dataclasses import dataclass, field
 from functools import wraps
 from itertools import chain, repeat
 from operator import add, itemgetter, mul
@@ -42,24 +40,38 @@ def _freeze(table: Sequence[Sequence[int]]) -> Table:
     return table
 
 
+def _bind(owner: str, names: tuple[str, ...], defaults: dict, args: tuple, kwargs: dict) -> tuple:
+    """The values of the parameters `names` of owner(*args, **kwargs): args,
+    then each later name from kwargs, else from defaults."""
+    later = names[len(args) :]
+    if len(args) > len(names) or not kwargs.keys() <= set(later):
+        raise TypeError(f"{owner}() got unexpected arguments {args!r}, {kwargs!r}")
+    given = {**defaults, **kwargs}
+    missing = [name for name in later if name not in given]
+    if missing:
+        raise TypeError(f"{owner}() missing arguments {missing!r}")
+    return args + tuple(map(given.__getitem__, later))
+
+
 def per_input(fn):
     """Memoise fn(obj, *args) in obj._memo, so each value is computed once
     per input object and lives exactly as long as it.
 
     Defaults are filled in before the key is built, so f(obj), f(obj, v) and
     f(obj, name=v) share one entry; cache_info() counts hits and misses over
-    all objects.
+    all objects.  The parameters are read from fn.__code__ and
+    fn.__defaults__; fn takes no *args, **kwargs or keyword-only parameters.
     """
-    signature = inspect.signature(fn)
-    arity = len(signature.parameters) - 1
+    code = fn.__code__
+    names = code.co_varnames[1 : code.co_argcount]
+    values = fn.__defaults__ or ()
+    defaults = dict(zip(names[len(names) - len(values) :], values))
     counts = {"hits": 0, "misses": 0}
 
     @wraps(fn)
     def call(obj, *args, **kwargs):
-        if kwargs or len(args) < arity:
-            bound = signature.bind(obj, *args, **kwargs)
-            bound.apply_defaults()
-            args = bound.args[1:]
+        if kwargs or len(args) < len(names):
+            args = _bind(fn.__name__, names, defaults, args, kwargs)
         key, memo = (fn, *args), obj._memo
         counts["hits" if key in memo else "misses"] += 1
         if key not in memo:
@@ -70,30 +82,76 @@ def per_input(fn):
     return call
 
 
-# A per-object memo for per_input; it takes no part in equality, hashing or repr.
-_MEMO = dict(default_factory=dict, init=False, compare=False, repr=False)
+class Frozen:
+    """Base of the immutable value classes: __init__, equality, hashing and
+    repr over the fields, the class's own annotated names in order.
+
+    The methods are plain functions shared by every subclass, so defining a
+    subclass generates no code.  A class attribute named like a field is its
+    default.  The annotation `_memo: dict` gives each instance a fresh dict
+    for per_input; it is not a field, so it takes no part in __init__,
+    equality, hashing or repr.  Fields named in the class keyword `hide`
+    are left out of repr.  Instances compare equal only to instances of
+    the same class, and assigning or deleting an attribute raises
+    AttributeError; functools.cached_property still works, because it
+    writes to the instance __dict__ directly.
+    """
+
+    def __init_subclass__(cls, hide: tuple[str, ...] = ()):
+        names = tuple(cls.__dict__.get("__annotations__", ()))
+        cls._fields = tuple(name for name in names if name != "_memo")
+        cls._shown = tuple(name for name in cls._fields if name not in hide)
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
+        cls._has_memo = "_memo" in names
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        if kwargs or len(args) != len(fields):
+            args = _bind(type(self).__name__, fields, self._defaults, args, kwargs)
+        self.__dict__.update(zip(fields, args))
+        if self._has_memo:
+            self.__dict__["_memo"] = {}
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__dict__.__getitem__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = (f"{name}={self.__dict__[name]!r}" for name in self._shown)
+        return f"{type(self).__qualname__}({', '.join(shown)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
-@dataclass(frozen=True)
-class Solution:
+class Solution(Frozen):
     """A finite invertible non-degenerate set-theoretic YBE solution."""
 
     n: int
     sigma: Table  # sigma[x][y] = sigma_x(y)
     tau: Table    # tau[y][x] = tau_y(x)
-    _memo: dict = field(**_MEMO)
+    _memo: dict
 
     def r(self, x: int, y: int) -> tuple[int, int]:
         return self.sigma[x][y], self.tau[y][x]
 
 
-@dataclass(frozen=True)
-class Rack:
+class Rack(Frozen):
     """A finite rack, op[x][y] = x > y."""
 
     n: int
     op: Table
-    _memo: dict = field(**_MEMO)
+    _memo: dict
 
     def rho(self, y: int) -> perm.Perm:
         """The right translation by y as a permutation."""
@@ -104,8 +162,7 @@ class Rack:
         return all(self.op[x][x] == x for x in range(self.n))
 
 
-@dataclass(frozen=True)
-class SolutionClass:
+class SolutionClass(Frozen):
     involutive: bool
     biquandle: bool
     self_distributive_right: bool
@@ -114,8 +171,7 @@ class SolutionClass:
     t_map: Optional[perm.Perm]
 
 
-@dataclass(frozen=True)
-class ChainReport:
+class ChainReport(Frozen):
     period_pattern: tuple[int, ...]  # sorted multiset of chain periods
     orbit_count: int
 
@@ -274,10 +330,29 @@ def _ybe_witness(sigma: Table, tau: Table, n: int) -> Optional[tuple[int, int, i
 
 
 def _pair_bijective(sigma, tau, n: int) -> bool:
-    """Whether the pair map (x, y) -> (sigma_x(y), tau_y(x)) is a bijection:
-    whether its n^2 values, zipped at C level, are distinct.
+    """Whether the pair map P(x, y) = (sigma_x(y), tau_y(x)) is a bijection,
+    for sigma rows that are permutations of range(n).
+
+    Criterion: P is a bijection iff for each a the n values tau_y(x) with
+    sigma_x(y) = a are distinct.  Proof.  X^2 is finite, so P is a
+    bijection iff it is injective.  Two pairs with different sigma_x(y)
+    have different images, so P is injective iff it is injective on each
+    fibre F_a = {(x, y) : sigma_x(y) = a}.  As sigma_x is a permutation,
+    F_a holds exactly one pair (x, sigma_x^{-1}(a)) for each x, and P maps
+    all of F_a to first coordinate a, so P is injective on F_a iff the
+    second coordinates tau_y(x) over its n pairs are distinct.  []
+
+    Row x of `at` holds tau_y(x) at position a = sigma_x(y), so column a
+    lists the second coordinates over F_a: n rows of n entries, never the
+    n^2 pairs.
     """
-    return len(set(zip(chain.from_iterable(sigma), chain.from_iterable(zip(*tau))))) == n * n
+    at = []
+    for row, col in zip(sigma, zip(*tau)):  # col[y] = tau_y(x)
+        line = [0] * n
+        for a, v in zip(row, col):
+            line[a] = v
+        at.append(line)
+    return all(len(set(column)) == n for column in zip(*at))
 
 
 def _is_involutive(sigma, tau, n: int) -> bool:
@@ -426,6 +501,7 @@ def chain_periods(rk: Rack) -> ChainReport:
     return ChainReport(tuple(periods), len(rack_orbits(rk)))
 
 
+@per_input
 def t_map_of(s: Solution) -> perm.Perm:
     """The map T(y) = tau_y^{-1}(y); always a bijection for valid solutions."""
     return tuple(s.tau[y].index(y) for y in range(s.n))

@@ -9,27 +9,25 @@ testing compares flattened relabeled tables and builds no objects.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations
 from typing import Hashable, Optional, Sequence, Union
 
 from . import perm
-from .core import Rack, Solution, Table, invert_solution, per_input, t_map_of
+from .core import Frozen, Rack, Solution, Table, invert_solution, per_input, t_map_of
 from .errors import SizeTooLarge
 from .words import _sigma_inv, structure_rho, twisted_power
 
 ISO_BOUND = 6  # factorial search cap for canonical forms
 
 
-@dataclass(frozen=True)
-class StructureRackPair:
+class StructureRackPair(Frozen, hide=("solution",)):
     """The structure racks of a solution with its T and Sq maps; the left
     rack and T are built when first read."""
 
     right: Rack            # x >_r y
     Sq: perm.Perm
-    solution: Solution = field(repr=False)
+    solution: Solution
 
     @cached_property
     def left(self) -> Table:
@@ -45,8 +43,7 @@ class StructureRackPair:
         return t_map_of(self.solution)
 
 
-@dataclass(frozen=True)
-class RetractionTower:
+class RetractionTower(Frozen):
     levels: tuple[Solution, ...]
     mp_level: Optional[int]  # None means "not MP"
 

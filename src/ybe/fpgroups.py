@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
 from . import perm
-from .core import _MEMO, Rack, Solution, is_biquandle, per_input, sd_solutions
+from .core import Frozen, Rack, Solution, is_biquandle, per_input, sd_solutions
 from .derived import _quotient_solution, induced_biquandle
 from .errors import CosetLimitExceeded, InvariantViolation
 from .words import Word, _rack_degree, degrees, free_reduce
@@ -23,8 +22,7 @@ from .words import Word, _rack_degree, degrees, free_reduce
 DEFAULT_COSET_CAP = 10**6
 
 
-@dataclass(frozen=True)
-class Presentation:
+class Presentation(Frozen):
     """<generators | relators>.  `implied` lists further relators that hold
     in this group by a theorem; coset enumeration checks them at the end
     but does not enumerate over them."""
@@ -32,11 +30,10 @@ class Presentation:
     generator_count: int
     relators: tuple[Word, ...]
     implied: tuple[Word, ...] = ()
-    _memo: dict = field(**_MEMO)
+    _memo: dict
 
 
-@dataclass(frozen=True)
-class AbelianInvariants:
+class AbelianInvariants(Frozen):
     free_rank: int
     torsion: tuple[int, ...]  # invariant factors >= 2, each dividing the next
 
@@ -410,8 +407,7 @@ def coset_enumeration(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> list[per
 # Computational Group Theory, 2005, chapters 4 and 5)
 
 
-@dataclass(frozen=True)
-class FiniteGroup:
+class FiniteGroup(Frozen):
     """The finite group of `presentation`, held as the action of its
     generators on its own elements, the cosets of the trivial subgroup.
 

@@ -3,10 +3,10 @@ consolidated analysis report assembled from the other modules."""
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from typing import Optional
 
 from .core import (
+    Frozen,
     Rack,
     Solution,
     classify,
@@ -29,8 +29,7 @@ from .fpgroups import (
 from .words import degrees
 
 
-@dataclass(frozen=True)
-class OrderabilityVerdict:
+class OrderabilityVerdict(Frozen):
     bi_orderable: bool
     # ("free_abelian", rank, orbit_of) when YES;
     # ("quotient_torsion", x, y, order) / ("ab_torsion", factors) /
@@ -39,22 +38,19 @@ class OrderabilityVerdict:
     certificate: Optional[tuple]
 
 
-@dataclass(frozen=True)
-class SDVerdict:
+class SDVerdict(Frozen):
     verdict: str  # "FREE_ABELIAN" or "TORSION_NONABELIAN"
     witness: Optional[tuple]  # identified pair or torsion element description
 
 
-@dataclass(frozen=True)
-class InvolutiveVerdict:
+class InvolutiveVerdict(Frozen):
     bi_orderable: bool
     left_orderable: bool
     diffuse: bool
     mp_level: Optional[int]
 
 
-@dataclass(frozen=True)
-class AnalysisReport:
+class AnalysisReport(Frozen):
     n: int
     involutive: bool
     biquandle: bool
@@ -78,7 +74,7 @@ class AnalysisReport:
     notes: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return dict(zip(self._fields, self._values()))
 
 
 def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> OrderabilityVerdict:

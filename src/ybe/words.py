@@ -9,10 +9,9 @@ letter absorb the right action of its suffix.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import perm
-from .core import Solution, invert_solution, is_biquandle, per_input, t_map_of
+from .core import Frozen, Solution, invert_solution, is_biquandle, per_input, t_map_of
 from .errors import BoundExceeded, SignedWordOnNonBiquandle
 
 Word = tuple[tuple[int, int], ...]
@@ -133,8 +132,7 @@ def twisted_power(s: Solution, y: int, d: int) -> Word:
     return tuple(reversed(letters))
 
 
-@dataclass(frozen=True)
-class DegreeTable:
+class DegreeTable(Frozen):
     d: tuple[int, ...]
     D: tuple[int, ...]
     twisted_powers: tuple[Word, ...]
