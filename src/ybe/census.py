@@ -3,9 +3,9 @@ isomorphism."""
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from functools import lru_cache
 from itertools import product
-from typing import Optional, Union
 
 from . import perm
 from .core import BYTE_BOUND, Frozen, Rack, Solution
@@ -20,7 +20,7 @@ SOLUTION_BOUND = 3
 class Census(Frozen):
     n: int
     kind: str  # rack | quandle | involutive | biquandle | all-solutions
-    representatives: tuple[Union[Solution, Rack], ...]
+    representatives: tuple[Solution | Rack, ...]
     iso_class_sizes: tuple[int, ...]
 
     @property
@@ -28,17 +28,27 @@ class Census(Frozen):
         return sum(self.iso_class_sizes)
 
 
-def _dedupe(objects: list) -> tuple[list, list[int]]:
-    """Group labeled tables by canonical form; return reps and class sizes."""
-    classes: dict[tuple[int, ...], list] = {}
-    for obj in objects:
-        classes.setdefault(canonical_form(obj), []).append(obj)
-    reps, sizes = [], []
-    for canon in sorted(classes):
-        block = classes[canon]
-        reps.append(block[0])
-        sizes.append(len(block))
-    return reps, sizes
+def _tally() -> tuple[Callable[[Solution | Rack], None], Callable[[], tuple]]:
+    """Count labeled tables by canonical form as they are found, keeping the
+    first table of each class, so memory grows with the number of classes,
+    not with the number of labeled tables.  Returns add(table) and a
+    function giving the representatives and class sizes in order of
+    canonical form."""
+    classes: dict[tuple[int, ...], list] = {}  # canonical form -> [first table, count]
+
+    def add(obj: Solution | Rack) -> None:
+        canon = canonical_form(obj)
+        entry = classes.get(canon)
+        if entry is None:
+            classes[canon] = [obj, 1]
+        else:
+            entry[1] += 1
+
+    def result() -> tuple[tuple, tuple[int, ...]]:
+        order = sorted(classes)
+        return tuple(classes[c][0] for c in order), tuple(classes[c][1] for c in order)
+
+    return add, result
 
 
 @lru_cache(maxsize=None)
@@ -74,7 +84,7 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
     else:
         free = [range(len(perms))] * n
 
-    valid: list[Rack] = []
+    add, result = _tally()
     cols = [0] * n
 
     def consistent(k: int) -> bool:
@@ -94,7 +104,7 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
                 return False
         return True
 
-    def forced(k: int) -> Optional[int]:
+    def forced(k: int) -> int | None:
         for z in range(k):
             cz = cols[z]
             t = perms[cz][k]
@@ -108,7 +118,7 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
     def backtrack(k: int) -> None:
         if k == n:
             table = [[perms[cols[y]][x] for y in range(n)] for x in range(n)]
-            valid.append(Rack(n, tuple(map(tuple, table))))
+            add(Rack(n, tuple(map(tuple, table))))
             return
         only = forced(k)
         if only is None:
@@ -123,8 +133,7 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
                 backtrack(k + 1)
 
     backtrack(0)
-    reps, sizes = _dedupe(valid)
-    return Census(n, "quandle" if quandles_only else "rack", tuple(reps), tuple(sizes))
+    return Census(n, "quandle" if quandles_only else "rack", *result())
 
 
 def _tau_rows(sigma: tuple[perm.Perm, ...], perms: list[perm.Perm]) -> list[list[perm.Perm]]:
@@ -145,7 +154,7 @@ def _tau_rows(sigma: tuple[perm.Perm, ...], perms: list[perm.Perm]) -> list[list
 
 @lru_cache(maxsize=None)
 def enumerate_solutions(
-    n: int, restrict: Optional[str] = None, bound: int = SOLUTION_BOUND
+    n: int, restrict: str | None = None, bound: int = SOLUTION_BOUND
 ) -> Census:
     """All solutions on n points up to isomorphism.
 
@@ -167,7 +176,7 @@ def enumerate_solutions(
     if n > bound:
         raise SizeTooLarge(f"solution census bound is {bound}, got {n}")
     perms = perm.all_perms(n)
-    valid: list[Solution] = []
+    add, result = _tally()
     for sigma in product(perms, repeat=n):
         for tau in product(*_tau_rows(sigma, perms)):
             if not _pair_bijective(sigma, tau, n):
@@ -179,10 +188,9 @@ def enumerate_solutions(
             # _ybe_holds is slower at these sizes: the uncached n = 3 search 23 -> 32 ms
             if _ybe_witness(sigma, tau, n) is not None:
                 continue
-            valid.append(Solution(n, sigma, tau))
-    reps, sizes = _dedupe(valid)
+            add(Solution(n, sigma, tau))
     kind = {None: "all-solutions", "involutive": "involutive", "biquandle": "biquandle"}
-    return Census(n, kind[restrict], tuple(reps), tuple(sizes))
+    return Census(n, kind[restrict], *result())
 
 
 def group_by_structure_rack(c: Census) -> dict[tuple[int, ...], tuple[Solution, ...]]:

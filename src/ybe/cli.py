@@ -6,6 +6,8 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Iterator
+from itertools import chain
 from pathlib import Path
 
 from .census import enumerate_racks, enumerate_solutions, group_by_structure_rack
@@ -40,39 +42,53 @@ class _UsageError(Exception):
     """An option value that parses but is out of range (exit EXIT_USAGE)."""
 
 
-def render_json(value, level: int = 0) -> str:
-    """json.dumps(value, sort_keys=True, indent=2) for JSON values whose dict
-    keys are strings, with tuples written as lists.
+def json_pieces(value, level: int = 0) -> Iterator[str]:
+    """The pieces of json.dumps(value, sort_keys=True, indent=2) for JSON
+    values whose dict keys are strings, with tuples written as lists.
 
     A list whose items are all of type int is one str.join, so the tables of
     a document skip json's pure-Python indenting encoder; every key and
-    other scalar still goes through json.dumps.  The pieces of a container
-    are joined once, so its items are not copied again into a body string.
+    other scalar still goes through json.dumps.  The pieces are yielded as
+    they are made, so a writer holds one table row at a time, not the text.
     """
     if isinstance(value, (list, tuple)):
         brackets = "[]"
     elif isinstance(value, dict):
         brackets = "{}"
     else:
-        return json.dumps(value)
+        yield json.dumps(value)
+        return
     if not value:
-        return brackets
+        yield brackets
+        return
     pad = "\n" + "  " * (level + 1)
-    parts = [brackets[0]]
+    sep = brackets[0] + pad
     if isinstance(value, dict):
         for key in sorted(value):
-            parts += (pad, json.dumps(key), ": ", render_json(value[key], level + 1), ",")
+            yield sep + json.dumps(key) + ": "
+            yield from json_pieces(value[key], level + 1)
+            sep = "," + pad
     elif set(map(type, value)) == {int}:
-        parts += (pad, ("," + pad).join(map(str, value)), ",")
+        yield sep + ("," + pad).join(map(str, value))
     else:
         for item in value:
-            parts += (pad, render_json(item, level + 1), ",")
-    parts[-1] = pad[:-2] + brackets[1]  # no comma after the last item
-    return "".join(parts)
+            yield sep
+            yield from json_pieces(item, level + 1)
+            sep = "," + pad
+    yield pad[:-2] + brackets[1]
+
+
+def render_json(value) -> str:
+    return "".join(json_pieces(value))
 
 
 def render_document(doc: dict) -> str:
-    return render_json(doc) + "\n"
+    return "".join(chain(json_pieces(doc), "\n"))
+
+
+def _print_json(value) -> None:
+    """print(render_json(value)), written to stdout piece by piece."""
+    sys.stdout.writelines(chain(json_pieces(value), "\n"))
 
 
 def parse_document(text: str) -> dict:
@@ -158,7 +174,7 @@ def cmd_analyze(args) -> int:
         verdict = sd_dichotomy(obj, cap)
         payload["rack_dichotomy"] = verdict.verdict
     if args.json:
-        print(render_json(payload))
+        _print_json(payload)
     else:
         for key in sorted(payload):
             value = payload[key]
@@ -195,6 +211,8 @@ def cmd_enumerate(args) -> int:
     if args.size < 1:
         raise _UsageError(f"the census size must be a positive integer, got {args.size}")
     kind = args.kind
+    if args.group_by_rack and kind in ("rack", "quandle"):
+        raise _UsageError("--group-by-rack applies to solution censuses")
     if kind in ("rack", "quandle"):
         census = enumerate_racks(args.size, quandles_only=(kind == "quandle"))
     elif kind in ("involutive", "biquandle"):
@@ -207,11 +225,11 @@ def cmd_enumerate(args) -> int:
     ):
         row = {"index": i, "labeled_count": size}
         if isinstance(rep, Rack):
-            row["op"] = [list(r) for r in rep.op]
+            row["op"] = rep.op
             row["period_pattern"] = list(chain_periods(rep).period_pattern)
         else:
-            row["sigma"] = [list(r) for r in rep.sigma]
-            row["tau"] = [list(r) for r in rep.tau]
+            row["sigma"] = rep.sigma
+            row["tau"] = rep.tau
         rows.append(row)
     payload = {
         "size": census.n,
@@ -221,8 +239,6 @@ def cmd_enumerate(args) -> int:
         "classes": rows,
     }
     if args.group_by_rack:
-        if not all(isinstance(r, Solution) for r in census.representatives):
-            raise SizeTooLarge("--group-by-rack applies to solution censuses")
         groups = group_by_structure_rack(census)
         payload["by_structure_rack"] = [
             {
@@ -232,7 +248,7 @@ def cmd_enumerate(args) -> int:
             for canon, sols in groups.items()
         ]
     if args.json:
-        print(render_json(payload))
+        _print_json(payload)
     else:
         print(f"{payload['kind']} census, size {payload['size']}: "
               f"{payload['class_count']} classes, {payload['total_labeled']} labeled")
@@ -246,6 +262,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_cable(args) -> int:
+    if args.m < 1:
+        raise _UsageError(f"the cabling degree must be a positive integer, got {args.m}")
     doc = _load_document(args.path)
     obj = object_from_document(doc)
     if isinstance(obj, Rack):
@@ -254,12 +272,12 @@ def cmd_cable(args) -> int:
     out = {
         "schema": SOLUTION_SCHEMA,
         "n": result.n,
-        "sigma": [list(r) for r in result.sigma],
-        "tau": [list(r) for r in result.tau],
+        "sigma": result.sigma,
+        "tau": result.tau,
         "name": f"{doc.get('name', 'solution')}-cable{args.m}",
         "labels": doc.get("labels") or [str(i) for i in range(result.n)],
     }
-    sys.stdout.write(render_document(out))
+    _print_json(out)
     return EXIT_OK
 
 
@@ -270,7 +288,7 @@ def cmd_catalog(args) -> int:
             {"name": name, "schema": catalog()[name]["schema"], "n": catalog()[name]["n"]}
             for name in names
         ]
-        print(render_json(payload))
+        _print_json(payload)
     else:
         for name in names:
             doc = catalog()[name]

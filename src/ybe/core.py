@@ -9,11 +9,11 @@ Elements are always 0-based integers.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import wraps
 from itertools import chain, repeat
 from operator import add, itemgetter, mul
 from types import SimpleNamespace
-from typing import Optional, Sequence
 
 from . import perm
 from .errors import (
@@ -168,7 +168,7 @@ class SolutionClass(Frozen):
     self_distributive_right: bool
     self_distributive_left: bool
     decomposable: bool
-    t_map: Optional[perm.Perm]
+    t_map: perm.Perm | None
 
 
 class ChainReport(Frozen):
@@ -289,7 +289,7 @@ def _preserve(op: list[bytes], maps: list[bytes], n: int) -> bool:
     )
 
 
-def _ybe_witness(sigma: Table, tau: Table, n: int) -> Optional[tuple[int, int, int]]:
+def _ybe_witness(sigma: Table, tau: Table, n: int) -> tuple[int, int, int] | None:
     """The lexicographically first triple on which r1 r2 r1 and r2 r1 r2
     differ, or None when the braid relation holds on all n^3 triples.
 
@@ -424,7 +424,7 @@ def _sd_holds(op: Sequence[Sequence[int]], n: int) -> bool:
     return _preserve(rows, [flat[z::n] for z in range(n)], n)
 
 
-def _sd_witness(op: Table, n: int) -> Optional[tuple[int, int, int]]:
+def _sd_witness(op: Table, n: int) -> tuple[int, int, int] | None:
     """The lexicographically first (x, y, z) with (x > y) > z != (x > z) > (y > z),
     or None when op is right self-distributive.
 
@@ -493,11 +493,27 @@ def solution_orbits(s: Solution) -> tuple[tuple[int, ...], ...]:
 
 
 def chain_periods(rk: Rack) -> ChainReport:
-    """Minimal periods of all chains, via cycles of (x,y) -> (y, x > y) on X^2,
-    the pair (x, y) coded as x n + y."""
-    n = rk.n
-    pair_map = [y * n + rk.op[x][y] for x in range(n) for y in range(n)]
-    periods = sorted(map(len, perm.cycles(pair_map)))
+    """Minimal periods of all chains, via cycles of (x,y) -> (y, x > y) on X^2.
+
+    The map is a bijection (its inverse is (y, z) -> (rho_y^{-1}(z), y)), so
+    walking from a pair not yet seen returns to it through unseen pairs only.
+    The walk marks pair (x, y) at x n + y of a bytearray, so it holds n^2
+    bytes and the periods, not the map."""
+    n, op = rk.n, rk.op
+    seen = bytearray(n * n)
+    periods = []
+    start = seen.find(0)
+    while start >= 0:
+        x, y = divmod(start, n)
+        i, length = start, 0
+        while not seen[i]:
+            seen[i] = 1
+            x, y = y, op[x][y]
+            i = x * n + y
+            length += 1
+        periods.append(length)
+        start = seen.find(0, start)
+    periods.sort()
     return ChainReport(tuple(periods), len(rack_orbits(rk)))
 
 

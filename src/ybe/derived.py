@@ -9,9 +9,9 @@ testing compares flattened relabeled tables and builds no objects.
 
 from __future__ import annotations
 
+from collections.abc import Hashable, Sequence
 from functools import cached_property
 from itertools import permutations
-from typing import Hashable, Optional, Sequence, Union
 
 from . import perm
 from .core import Frozen, Rack, Solution, Table, invert_solution, per_input, t_map_of
@@ -45,7 +45,7 @@ class StructureRackPair(Frozen, hide=("solution",)):
 
 class RetractionTower(Frozen):
     levels: tuple[Solution, ...]
-    mp_level: Optional[int]  # None means "not MP"
+    mp_level: int | None  # None means "not MP"
 
 
 @per_input
@@ -180,11 +180,11 @@ def cable(s: Solution, m: int) -> Solution:
     return Solution(n, tuple(sigma_c), tuple(tau_c))
 
 
-def _tables(obj: Union[Solution, Rack]) -> tuple[Table, ...]:
+def _tables(obj: Solution | Rack) -> tuple[Table, ...]:
     return (obj.sigma, obj.tau) if isinstance(obj, Solution) else (obj.op,)
 
 
-def _relabeled(obj: Union[Solution, Rack], f: perm.Perm) -> tuple[int, ...]:
+def _relabeled(obj: Solution | Rack, f: perm.Perm) -> tuple[int, ...]:
     """obj's table(s) relabeled by f and flattened, sigma rows before tau
     rows: entry (f(x), f(y)) is f(t[x][y]).  No object is built."""
     g = perm.inverse(f)
@@ -204,7 +204,7 @@ def relabel_rack(rk: Rack, f: perm.Perm) -> Rack:
     return Rack(rk.n, _rows(_relabeled(rk, f), rk.n))
 
 
-def canonical_form(obj: Union[Solution, Rack]) -> tuple[int, ...]:
+def canonical_form(obj: Solution | Rack) -> tuple[int, ...]:
     """Lexicographically least flattened table over all n! relabelings.
 
     Branch and bound over g = f^{-1}: labels 0, 1, ... are given out in
@@ -269,7 +269,7 @@ def canonical_form(obj: Union[Solution, Rack]) -> tuple[int, ...]:
                 return -1
         return 0
 
-    def search(m: int) -> Optional[int]:
+    def search(m: int) -> int | None:
         """Give label m to each free point in turn; return the level to go
         back to, if an automorphism cuts the search short."""
         nonlocal best
@@ -295,7 +295,7 @@ def canonical_form(obj: Union[Solution, Rack]) -> tuple[int, ...]:
     return best
 
 
-def are_isomorphic(a: Union[Solution, Rack], b: Union[Solution, Rack]) -> Optional[perm.Perm]:
+def are_isomorphic(a: Solution | Rack, b: Solution | Rack) -> perm.Perm | None:
     """A relabeling carrying a onto b, or None."""
     if type(a) is not type(b):
         raise TypeError("can only compare two Solutions or two Racks")
@@ -307,7 +307,7 @@ def are_isomorphic(a: Union[Solution, Rack], b: Union[Solution, Rack]) -> Option
     return next((f for f in permutations(range(a.n)) if _relabeled(a, f) == target), None)
 
 
-def automorphism_count(obj: Union[Solution, Rack]) -> int:
+def automorphism_count(obj: Solution | Rack) -> int:
     if obj.n > ISO_BOUND:
         raise SizeTooLarge(f"isomorphism search bound is {ISO_BOUND}, got size {obj.n}")
     own = _relabeled(obj, perm.identity(obj.n))

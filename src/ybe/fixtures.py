@@ -8,7 +8,6 @@ is 0-based.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Union
 
 from . import perm
 from .core import Rack, Solution, verify_rack, verify_solution
@@ -205,7 +204,7 @@ def fixture_document(name: str) -> dict:
         raise UnknownName(name) from None
 
 
-def object_from_document(doc: dict) -> Union[Solution, Rack]:
+def object_from_document(doc: dict) -> Solution | Rack:
     """The validated object of a document; its tables must be present, and a
     declared n and the labels, when present, must match their size."""
     schema = doc.get("schema")
@@ -224,17 +223,19 @@ def object_from_document(doc: dict) -> Union[Solution, Rack]:
     return obj
 
 
-def fixture_object(name: str) -> Union[Solution, Rack]:
+def fixture_object(name: str) -> Solution | Rack:
     return object_from_document(fixture_document(name))
 
 
 def fixture_solution(name: str) -> Solution:
     obj = fixture_object(name)
-    assert isinstance(obj, Solution)
+    if not isinstance(obj, Solution):
+        raise TypeError(f"{name} is not a solution fixture")
     return obj
 
 
 def fixture_rack(name: str) -> Rack:
     obj = fixture_object(name)
-    assert isinstance(obj, Rack)
+    if not isinstance(obj, Rack):
+        raise TypeError(f"{name} is not a rack fixture")
     return obj

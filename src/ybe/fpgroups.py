@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
+from collections.abc import Sequence
 from functools import cached_property
-from typing import Sequence
 
 from . import perm
 from .core import Frozen, Rack, Solution, is_biquandle, per_input, sd_solutions

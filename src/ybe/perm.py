@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Sequence
 from itertools import permutations as _permutations
-from typing import Iterable, Sequence
 
 Perm = tuple[int, ...]
 

@@ -3,8 +3,6 @@ consolidated analysis report assembled from the other modules."""
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import (
     Frozen,
     Rack,
@@ -35,19 +33,19 @@ class OrderabilityVerdict(Frozen):
     # ("quotient_torsion", x, y, order) / ("ab_torsion", factors) /
     # ("rank_mismatch", k_r, K_r) / ("noncommuting", x, y) /
     # ("not_free_abelian",) when NO.
-    certificate: Optional[tuple]
+    certificate: tuple | None
 
 
 class SDVerdict(Frozen):
     verdict: str  # "FREE_ABELIAN" or "TORSION_NONABELIAN"
-    witness: Optional[tuple]  # identified pair or torsion element description
+    witness: tuple | None  # identified pair or torsion element description
 
 
 class InvolutiveVerdict(Frozen):
     bi_orderable: bool
     left_orderable: bool
     diffuse: bool
-    mp_level: Optional[int]
+    mp_level: int | None
 
 
 class AnalysisReport(Frozen):
@@ -67,7 +65,7 @@ class AnalysisReport(Frozen):
     quotient_fingerprint: tuple
     injective: bool
     iis_size: int
-    mp_level: Optional[int]
+    mp_level: int | None
     bi_orderable: str
     left_orderable: str
     diffuse: str

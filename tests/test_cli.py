@@ -210,6 +210,26 @@ def test_cable_rejects_racks(capsys):
     assert code == EXIT_INVALID
 
 
+@pytest.mark.parametrize("m", ["0", "-2"])
+def test_cable_degree_below_one_is_a_usage_error(capsys, m):
+    code, out, err = run(capsys, "cable", "solution/dihedral3-sd", "-m", m)
+    assert code == EXIT_USAGE
+    assert out == "" and "cabling degree" in err
+
+
+@pytest.mark.parametrize("kind", ["rack", "quandle"])
+def test_group_by_rack_on_a_rack_census_is_a_usage_error(capsys, monkeypatch, kind):
+    from ybe import cli
+
+    def no_census(*args, **kwargs):
+        raise AssertionError("the census ran")
+
+    monkeypatch.setattr(cli, "enumerate_racks", no_census)
+    code, out, err = run(capsys, "enumerate", "--size", "3", "--kind", kind, "--group-by-rack")
+    assert code == EXIT_USAGE
+    assert out == "" and "--group-by-rack" in err
+
+
 def test_catalog_lists_every_fixture(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == EXIT_OK

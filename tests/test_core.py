@@ -26,6 +26,13 @@ from ybe.fixtures import fixture_rack, fixture_solution
 IDENT3 = [[0, 1, 2]] * 3
 
 
+def test_fixture_accessors_reject_the_other_kind():
+    with pytest.raises(TypeError):
+        fixture_solution("rack/dihedral3")
+    with pytest.raises(TypeError):
+        fixture_rack("solution/dihedral3-sd")
+
+
 def test_trivial_flip_is_valid_and_involutive():
     s = verify_solution(IDENT3, IDENT3)
     assert classify(s).involutive

@@ -1,16 +1,22 @@
-"""Peak traced allocation of input validation and document output at the
-sizes of the benchmark's document jobs."""
+"""Peak traced allocation of input validation, chain periods, the rack
+census and document output at the sizes of the benchmark's table jobs."""
 
+import sys
 import tracemalloc
 
-from ybe.cli import render_document
-from ybe.core import Solution, verify_solution
+from ybe.census import enumerate_racks
+from ybe.cli import EXIT_OK, main, render_document
+from ybe.core import Rack, Solution, chain_periods, verify_solution
 from ybe.derived import cable
 from ybe.fixtures import SOLUTION_SCHEMA
 
 # A set of the n^2 image pairs of the pair map alone takes about 1.3 MB at
 # n = 128; the two frozen tables take about 0.28 MB.
 VERIFY_PEAK_BYTES = 1_000_000
+
+
+def _affine_rack(p, a):
+    return Rack(p, tuple(tuple((a * x + (1 - a) * y) % p for y in range(p)) for x in range(p)))
 
 
 def _peak(fn, *args):
@@ -47,3 +53,60 @@ def test_render_document_peak_on_the_z97_cable():
     text, peak = _peak(render_document, doc)
     assert len(text) > 150_000
     assert peak < 3 * len(text), peak
+
+
+def test_rack_census_peak_grows_with_the_classes():
+    # enumerate_racks without its lru_cache, so the search runs here; keeping
+    # all 1,708 labeled racks of the n = 5 census takes about 1.5 MB
+    census, peak = _peak(enumerate_racks.__wrapped__, 5, False, 5)
+    assert (len(census.representatives), census.total_labeled) == (74, 1708)
+    assert peak < 800_000, peak
+
+
+def test_chain_periods_peak_on_the_affine_rack_over_z127():
+    # a list of the n^2 pair images (ints above 256) takes about 0.9 MB
+    p = 127
+    report, peak = _peak(chain_periods, _affine_rack(p, 3))
+    assert sum(report.period_pattern) == p * p
+    assert peak < 500_000, peak
+
+
+class _CountingSink:
+    """A text stream that counts the characters it is given and keeps none."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+    def writelines(self, pieces):
+        for piece in pieces:
+            self.write(piece)
+
+    def flush(self):
+        pass
+
+
+def test_cable_command_peak_on_z97(tmp_path, monkeypatch):
+    # the cabled tables take about 0.6 MB; list copies of them and the whole
+    # output text held at once take the peak to about 1.1 MB
+    p, a = 97, 3
+    rk = _affine_rack(p, a)
+    ident = tuple(range(p))
+    doc = {
+        "schema": SOLUTION_SCHEMA,
+        "n": p,
+        "name": f"affine-sd-p{p}-a{a}",
+        "sigma": [list(ident)] * p,
+        "tau": [list(rk.rho(y)) for y in range(p)],
+    }
+    path = tmp_path / "affine.json"
+    path.write_text(render_document(doc))
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    code, peak = _peak(main, ["cable", "-m", "2", str(path)])
+    assert code == EXIT_OK
+    assert sink.chars > 150_000
+    assert peak < 1_000_000, peak

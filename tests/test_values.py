@@ -218,7 +218,7 @@ def test_t_is_computed_once_per_input():
 def test_starting_the_cli_loads_no_code_generation_modules():
     code = (
         "import ybe.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'} & set(sys.modules)))"
+        "print(sorted({'dataclasses', 'inspect', 'ast', 'dis', 'tokenize', 'typing'} & set(sys.modules)))"
     )
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run(
