@@ -5,11 +5,9 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import lru_cache
-from itertools import product
 
 from . import perm
-from .core import BYTE_BOUND, Frozen, Rack, Solution
-from .core import _is_biquandle_tables, _is_involutive, _pair_bijective, _ybe_witness
+from .core import BYTE_BOUND, Frozen, Rack, Solution, _is_involutive, _pair_bijective, _ybe_witness
 from .derived import canonical_form, structure_racks
 from .errors import SizeTooLarge
 
@@ -28,38 +26,43 @@ class Census(Frozen):
         return sum(self.iso_class_sizes)
 
 
-def _tally() -> tuple[Callable[[Solution | Rack], None], Callable[[], tuple]]:
-    """Count labeled tables by canonical form as they are found, keeping the
-    first table of each class, so memory grows with the number of classes,
-    not with the number of labeled tables.  Returns add(table) and a
-    function giving the representatives and class sizes in order of
-    canonical form."""
-    classes: dict[tuple[int, ...], list] = {}  # canonical form -> [first table, count]
+def _tally() -> tuple[Callable[[Solution | Rack, tuple], None], Callable[[], tuple]]:
+    """Count labeled tables by canonical form, keeping the table of least
+    key in each class, so memory grows with the classes.  Returns
+    add(table, key) and a function giving the representatives and class
+    sizes in order of canonical form."""
+    classes: dict[tuple[int, ...], list] = {}  # canonical form -> [key, table, count]
 
-    def add(obj: Solution | Rack) -> None:
-        canon = canonical_form(obj)
-        entry = classes.get(canon)
-        if entry is None:
-            classes[canon] = [obj, 1]
-        else:
-            entry[1] += 1
+    def add(obj: Solution | Rack, key: tuple) -> None:
+        entry = classes.setdefault(canonical_form(obj), [key, obj, 0])
+        entry[2] += 1
+        if key < entry[0]:
+            entry[:2] = key, obj
 
     def result() -> tuple[tuple, tuple[int, ...]]:
         order = sorted(classes)
-        return tuple(classes[c][0] for c in order), tuple(classes[c][1] for c in order)
+        return tuple(classes[c][1] for c in order), tuple(classes[c][2] for c in order)
 
     return add, result
 
 
-@lru_cache(maxsize=None)
-def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND) -> Census:
-    """All racks (or quandles) on n points up to isomorphism.
+def _symmetric_group(n: int) -> tuple[list[perm.Perm], list[int], list[list[int]]]:
+    """perm.all_perms(n), the index of each one's inverse, and comp[i][j],
+    the index of perms[i] o perms[j] (p o q = q.translate(p + pad) on bytes)."""
+    perms = perm.all_perms(n)
+    rows = [bytes(p) for p in perms]
+    pindex = {row: i for i, row in enumerate(rows)}
+    pad = bytes(BYTE_BOUND - n)
+    comp = [[pindex[q.translate(a)] for q in rows] for a in [row + pad for row in rows]]
+    return perms, [pindex[bytes(perm.inverse(p))] for p in perms], comp
 
-    Backtracks over the columns rho_0, rho_1, ... in order, using the
-    translation form of self-distributivity: for every pair (y, z),
-    rho_z rho_y = rho_{rho_z(y)} rho_z.  Columns are tried in the order of
-    perm.all_perms, so racks are found in lexicographic order of their
-    column indices.
+
+def _labeled_racks(n: int, quandles_only: bool, perms, inv, comp,
+                   found: Callable[[list[int]], None]) -> None:
+    """Call found(cols) on each labeled rack (or quandle) on n points, in
+    lexicographic order of cols, where cols[y] (a reused list) indexes rho_y
+    in perms.  Backtracks over the columns in order, using the translation
+    form of self-distributivity: rho_z rho_y = rho_{rho_z(y)} rho_z.
 
     Pruning.  When column k is chosen, the constraints among columns < k have
     all been checked, so only those that involve column k are new: (k, z),
@@ -70,21 +73,10 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
     candidate; it still passes the full check of column k, and for quandles
     it must fix k.
     """
-    if n > bound:
-        raise SizeTooLarge(f"rack census bound is {bound}, got {n}")
-    perms = perm.all_perms(n)
-    # A product is composed as bytes, q.translate(p + pad).
-    rows = [bytes(p) for p in perms]
-    after = [row + bytes(BYTE_BOUND - n) for row in rows]  # q.translate(after[i]) = perms[i] o q
-    pindex = {row: i for i, row in enumerate(rows)}
-    inv = [pindex[bytes(perm.inverse(p))] for p in perms]
-    comp = [[pindex[q.translate(a)] for q in rows] for a in after]  # comp[i][j]: perms[i] o perms[j]
     if quandles_only:
         free = [[i for i, p in enumerate(perms) if p[k] == k] for k in range(n)]
     else:
         free = [range(len(perms))] * n
-
-    add, result = _tally()
     cols = [0] * n
 
     def consistent(k: int) -> bool:
@@ -109,16 +101,15 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
             cz = cols[z]
             t = perms[cz][k]
             if t < k:  # rho_z^{-1} rho_t rho_z
-                return pindex[rows[cz].translate(after[cols[t]]).translate(after[inv[cz]])]
+                return comp[inv[cz]][comp[cols[t]][cz]]
             y = perms[inv[cz]][k]
             if y < k:  # rho_z rho_y rho_z^{-1}
-                return pindex[rows[inv[cz]].translate(after[cols[y]]).translate(after[cz])]
+                return comp[cz][comp[cols[y]][inv[cz]]]
         return None
 
     def backtrack(k: int) -> None:
         if k == n:
-            table = [[perms[cols[y]][x] for y in range(n)] for x in range(n)]
-            add(Rack(n, tuple(map(tuple, table))))
+            found(cols)
             return
         only = forced(k)
         if only is None:
@@ -133,64 +124,72 @@ def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND
                 backtrack(k + 1)
 
     backtrack(0)
+
+
+@lru_cache(maxsize=None)
+def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND) -> Census:
+    """All racks (or quandles) on n points up to isomorphism; each class
+    keeps its least column indices."""
+    if n > bound:
+        raise SizeTooLarge(f"rack census bound is {bound}, got {n}")
+    perms, *group = _symmetric_group(n)
+    add, result = _tally()
+    _labeled_racks(n, quandles_only, perms, *group, lambda cols: add(
+        Rack(n, tuple(zip(*map(perms.__getitem__, cols)))), tuple(cols)))
     return Census(n, "quandle" if quandles_only else "rack", *result())
-
-
-def _tau_rows(sigma: tuple[perm.Perm, ...], perms: list[perm.Perm]) -> list[list[perm.Perm]]:
-    """For each y, the permutations tau_y, in the order of perms, that meet the
-    first coordinate of the braid relation with these sigma rows:
-    sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for every x."""
-    n = len(sigma)
-    after = [[perm.compose(sigma[a], sigma[w]) for w in range(n)] for a in range(n)]
-    rows = []
-    for y in range(n):
-        allowed = []
-        for x in range(n):
-            target, row = perm.compose(sigma[x], sigma[y]), after[sigma[x][y]]
-            allowed.append({w for w in range(n) if row[w] == target})
-        rows.append([p for p in perms if all(p[x] in allowed[x] for x in range(n))])
-    return rows
 
 
 @lru_cache(maxsize=None)
 def enumerate_solutions(
     n: int, restrict: str | None = None, bound: int = SOLUTION_BOUND
 ) -> Census:
-    """All solutions on n points up to isomorphism.
+    """All solutions on n points up to isomorphism; restrict may be None,
+    "involutive", or "biquandle".
 
-    restrict may be None, "involutive", or "biquandle".  Iterates over the
-    sigma-rows in the order of product(perms, repeat=n), and for each over
-    the tau-rows in the same order.
-
-    Pruning.  The first coordinate of the braid relation on (x, y, z) reads
-    sigma_x sigma_y (z) = sigma_{sigma_x(y)} sigma_{tau_y(x)} (z), so for
-    given sigma rows each value tau_y(x) lies among the w with
-    sigma_{sigma_x(y)} sigma_w = sigma_x sigma_y.  Only tau rows that meet
-    this on every x are combined, in their original order, so the solutions
-    are found in the same order as by the full product.  Every candidate is
-    still checked for pair-bijectivity, the restriction and the whole
-    Yang-Baxter equation.
+    By Soloviev's criterion (core._ybe_holds) the solutions are the labeled
+    racks > (their structure racks) with rows sigma_x in Aut(>) such that
+      (1) sigma_x sigma_y = sigma_w sigma_t,  w = sigma_x(y),
+          t = tau_y(x) = sigma_w^{-1}(x > w).
+    Over each labeled rack sigma_0, sigma_1, ... are chosen from Aut(>),
+    (1) is checked on (x, y) once rows x, y, w and t are chosen, and tau is
+    read from t.  Biquandles are the solutions over quandles (is_biquandle).
+    Each candidate is still checked: permutation tau rows, a bijective pair
+    map, the restriction and the braid relation.  Each class keeps its
+    least (sigma, tau).
     """
     if restrict not in (None, "involutive", "biquandle"):
         raise ValueError(f"unknown restriction {restrict!r}")
     if n > bound:
         raise SizeTooLarge(f"solution census bound is {bound}, got {n}")
-    perms = perm.all_perms(n)
+    perms, inv, comp = group = _symmetric_group(n)
     add, result = _tally()
-    for sigma in product(perms, repeat=n):
-        for tau in product(*_tau_rows(sigma, perms)):
-            if not _pair_bijective(sigma, tau, n):
-                continue
-            if restrict == "involutive" and not _is_involutive(sigma, tau, n):
-                continue
-            if restrict == "biquandle" and not _is_biquandle_tables(sigma, tau, n):
-                continue
-            # _ybe_holds is slower at these sizes: the uncached n = 3 search 23 -> 32 ms
-            if _ybe_witness(sigma, tau, n) is not None:
-                continue
-            add(Solution(n, sigma, tau))
-    kind = {None: "all-solutions", "involutive": "involutive", "biquandle": "biquandle"}
-    return Census(n, kind[restrict], *result())
+    sig = [0] * n
+    back = [()] * n  # back[w][x] = sigma_w^{-1}(x > w) = t
+
+    def over(cols: list[int]) -> None:
+        auts = [a for a, p in enumerate(perms)
+                if all(comp[a][c] == comp[cols[p[y]]][a] for y, c in enumerate(cols))]
+
+        def extend(k: int) -> None:
+            if k == n:
+                sigma = tuple(map(perms.__getitem__, sig))
+                tau = tuple(zip(*[[back[w][x] for w in sigma[x]] for x in range(n)]))
+                if (all(len(set(row)) == n for row in tau) and _pair_bijective(sigma, tau, n)
+                        and (restrict != "involutive" or _is_involutive(sigma, tau, n))
+                        and _ybe_witness(sigma, tau, n) is None):
+                    add(Solution(n, sigma, tau), (sigma, tau))
+                return
+            for a in auts:
+                sig[k], back[k] = a, perms[comp[inv[a]][cols[k]]]
+                if all(comp[sig[x]][sig[y]] == comp[sig[w]][sig[t]]
+                       for x in range(k + 1) for y, w in enumerate(perms[sig[x]][:k + 1])
+                       if w <= k and (t := back[w][x]) <= k):
+                    extend(k + 1)
+
+        extend(0)
+
+    _labeled_racks(n, restrict == "biquandle", *group, over)
+    return Census(n, restrict or "all-solutions", *result())
 
 
 def group_by_structure_rack(c: Census) -> dict[tuple[int, ...], tuple[Solution, ...]]:

@@ -78,16 +78,8 @@ def json_pieces(value, level: int = 0) -> Iterator[str]:
     yield pad[:-2] + brackets[1]
 
 
-def render_json(value) -> str:
-    return "".join(json_pieces(value))
-
-
-def render_document(doc: dict) -> str:
-    return "".join(chain(json_pieces(doc), "\n"))
-
-
 def _print_json(value) -> None:
-    """print(render_json(value)), written to stdout piece by piece."""
+    """json_pieces(value) and a newline, written to stdout piece by piece."""
     sys.stdout.writelines(chain(json_pieces(value), "\n"))
 
 

@@ -365,15 +365,6 @@ def _is_involutive(sigma, tau, n: int) -> bool:
     return True
 
 
-def _is_biquandle_tables(sigma, tau, n: int) -> bool:
-    """Whether r(T(x), x) = (T(x), x) for all x, with T(x) = tau_x^{-1}(x)."""
-    for x in range(n):
-        t = tau[x].index(x)
-        if sigma[t][x] != t:
-            return False
-    return True
-
-
 @per_input
 def invert_solution(s: Solution) -> Solution:
     """The inverse braiding r^{-1}(x,y) = (sigma^_x(y), tau^_y(x)).
@@ -524,8 +515,16 @@ def t_map_of(s: Solution) -> perm.Perm:
 
 
 def is_biquandle(s: Solution) -> bool:
-    """A solution is a biquandle iff r(T(x), x) = (T(x), x) for all x."""
-    return _is_biquandle_tables(s.sigma, s.tau, s.n)
+    """Whether r(T(x), x) = (T(x), x) for all x, T(x) = tau_x^{-1}(x): iff
+    the right structure rack is a quandle.
+
+    Proof.  A fixed point (x, y) of r has y = sigma_x^{-1}(x) and x = T(y),
+    so the fixed points pair first coordinates one to one with second ones.
+    r is a biquandle iff every y is a second coordinate, iff every x is a
+    first one.  By _ybe_holds, x < x = sigma_x(tau_y(x)) for
+    y = sigma_x^{-1}(x), which is x iff (x, y) is fixed.  []
+    """
+    return all(s.sigma[t][x] == t for x, t in enumerate(t_map_of(s)))
 
 
 def classify(s: Solution) -> SolutionClass:

@@ -1,5 +1,7 @@
 """Exhaustive small censuses and their cross-checks."""
 
+import math
+import random
 from itertools import permutations, product
 
 import pytest
@@ -17,10 +19,10 @@ from ybe import (
     perm,
     verify_rack,
 )
-from ybe.core import Solution, _is_biquandle_tables, _is_involutive, _pair_bijective, _ybe_witness
-from ybe.derived import _relabeled, are_isomorphic, automorphism_count, relabel_rack
+from ybe.core import Solution, _is_involutive, _pair_bijective, _ybe_witness, is_biquandle, sd_solutions
+from ybe.derived import _relabeled, are_isomorphic, automorphism_count, relabel_rack, structure_racks
 from ybe.errors import SizeTooLarge
-from ybe.fixtures import fixture_rack
+from ybe.fixtures import fixture_names, fixture_object, fixture_rack
 
 
 def test_singleton_censuses():
@@ -238,7 +240,7 @@ def _full_product_solutions(n, restrict):
                 continue
             if restrict == "involutive" and not _is_involutive(sigma, tau, n):
                 continue
-            if restrict == "biquandle" and not _is_biquandle_tables(sigma, tau, n):
+            if restrict == "biquandle" and not is_biquandle(Solution(n, sigma, tau)):
                 continue
             if _ybe_witness(sigma, tau, n) is None:
                 found.append(Solution(n, sigma, tau))
@@ -272,14 +274,82 @@ def test_canonical_form_is_the_least_relabeling_on_labeled_censuses():
 
 
 def test_solution_search_checks_only_sigma_compatible_tau_rows(monkeypatch):
-    # without the pruning all (3!)^6 = 46,656 row choices reach the checks
+    # without the pruning all (3!)^6 = 46,656 row choices reach the checks;
+    # at n = 3 every sigma that meets (1) over a rack, with tau rows that are
+    # permutations, is a solution
     calls = []
     real = census_module._pair_bijective
     monkeypatch.setattr(census_module, "_pair_bijective",
                         lambda *args: calls.append(args) or real(*args))
     census = enumerate_solutions.__wrapped__(3)
     assert census.total_labeled == 66
-    assert len(calls) <= 1350
+    assert len(calls) == 66
+
+
+def test_biquandles_are_the_solutions_with_a_quandle_structure_rack():
+    # the equivalence proved in core.is_biquandle
+    names = fixture_names()
+    solutions = [fixture_object(name) for name in names if name.startswith("solution/")]
+    solutions += [s for name in names if name.startswith("rack/")
+                  for s in sd_solutions(fixture_rack(name))]
+    solutions += [s for n in (1, 2, 3) for s in _full_product_solutions(n, None)]
+    verdicts = [is_biquandle(s) for s in solutions]
+    assert verdicts == [structure_racks(s).right.is_quandle for s in solutions]
+    assert True in verdicts and False in verdicts
+
+
+# -- the four-point solution censuses, one size past SOLUTION_BOUND ---------
+
+
+@pytest.mark.parametrize("restrict, classes, labeled", [
+    (None, 253, 1800),
+    ("involutive", 23, 168),  # Etingof-Schedler-Soloviev, Duke Math. J. 1999
+    ("biquandle", 98, 744),
+])
+def test_four_point_solution_censuses(restrict, classes, labeled):
+    census = enumerate_solutions(4, restrict, bound=4)
+    assert len(census.representatives) == classes
+    assert census.total_labeled == labeled
+
+
+@pytest.mark.parametrize("restrict", ["involutive", "biquandle"])
+def test_four_point_restricted_censuses_filter_the_full_one(restrict):
+    # the biquandle census walks quandles only, the full census every rack
+    keep = is_biquandle if restrict == "biquandle" else (lambda s: classify(s).involutive)
+    full = enumerate_solutions(4, bound=4)
+    kept = [(s, k) for s, k in zip(full.representatives, full.iso_class_sizes) if keep(s)]
+    assert enumerate_solutions(4, restrict, bound=4) == Census(4, restrict, *map(tuple, zip(*kept)))
+
+
+def _sigma_compatible_tau_rows(sigma):
+    """For each y, the permutations tau_y whose every value t = tau_y(x)
+    meets (1): sigma_x sigma_y = sigma_w sigma_t with w = sigma_x(y)."""
+    n = len(sigma)
+    rows = []
+    for y in range(n):
+        allowed = [{t for t in range(n) if perm.compose(sigma[sigma[x][y]], sigma[t])
+                    == perm.compose(sigma[x], sigma[y])} for x in range(n)]
+        rows.append([p for p in perm.all_perms(n) if all(p[x] in allowed[x] for x in range(n))])
+    return rows
+
+
+def test_sampled_sigma_rows_give_only_census_classes():
+    # sigma_x = g^(k_x) for a random g and random k_x.  A constant sigma
+    # allows every tau row, 24^4 choices, so sigma that allow more than
+    # 6^4 are skipped.
+    classes = {canonical_form(s) for s in enumerate_solutions(4, bound=4).representatives}
+    rng = random.Random(4)
+    perms = perm.all_perms(4)
+    found = []
+    for _ in range(200):
+        g = rng.choice(perms)
+        sigma = tuple(perm.power(g, rng.randrange(4)) for _ in range(4))
+        rows = _sigma_compatible_tau_rows(sigma)
+        if math.prod(map(len, rows)) <= 6 ** 4:
+            found += [Solution(4, sigma, tau) for tau in product(*rows)
+                      if _pair_bijective(sigma, tau, 4) and _ybe_witness(sigma, tau, 4) is None]
+    assert len(found) > 100
+    assert {canonical_form(s) for s in found} <= classes
 
 
 @pytest.mark.slow

@@ -10,9 +10,9 @@ from ybe.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
     EXIT_USAGE,
+    json_pieces,
     main,
     parse_document,
-    render_document,
 )
 from ybe.fixtures import catalog, fixture_document, fixture_names
 
@@ -44,7 +44,7 @@ def test_check_rejects_bad_document(capsys, tmp_path):
     doc = json.loads(json.dumps(doc))
     doc["tau"][0][0] = doc["tau"][0][1]  # break a row
     path = tmp_path / "bad.json"
-    path.write_text(render_document(doc))
+    path.write_text("".join(json_pieces(doc)))
     code, out, _ = run(capsys, "check", str(path))
     assert code == EXIT_INVALID
     payload = json.loads(out)
@@ -60,7 +60,7 @@ def test_check_reports_ybe_witness(capsys, tmp_path):
         "tau": [[0, 1, 2], [0, 1, 2], [0, 2, 1]],
     }
     path = tmp_path / "ybe-fail.json"
-    path.write_text(render_document(doc))
+    path.write_text("".join(json_pieces(doc)))
     code, out, _ = run(capsys, "check", str(path))
     assert code == EXIT_INVALID
     payload = json.loads(out)
@@ -199,7 +199,7 @@ def test_cable_command_roundtrip(capsys, tmp_path):
     assert code == EXIT_OK
     doc = parse_document(out)
     path = tmp_path / "cabled.json"
-    path.write_text(render_document(doc))
+    path.write_text("".join(json_pieces(doc)))
     code, out, _ = run(capsys, "check", str(path))
     assert code == EXIT_OK
     assert json.loads(out)["involutive"]
@@ -254,9 +254,9 @@ def test_usage_errors(capsys):
 def test_document_roundtrip_is_bit_exact():
     for name in fixture_names():
         doc = fixture_document(name)
-        text = render_document(doc)
+        text = "".join(json_pieces(doc))
         assert parse_document(text) == doc
-        assert render_document(parse_document(text)) == text
+        assert "".join(json_pieces(parse_document(text))) == text
 
 
 def test_parse_document_rejects_unknown_schema():
@@ -285,6 +285,16 @@ def test_nonpositive_coset_cap_is_a_usage_error(capsys, monkeypatch, command, ca
     code, out, err = run(capsys, command, "solution/twisted-flip2")
     assert code == EXIT_USAGE
     assert out == "" and "coset cap" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "quotient"])
+@pytest.mark.parametrize("cap", ["many", "1.5", "0x10"])
+def test_non_integer_env_coset_cap_is_a_usage_error(capsys, monkeypatch, command, cap):
+    monkeypatch.setenv("YBE_COSET_CAP", cap)
+    code, out, err = run(capsys, command, "solution/twisted-flip2")
+    assert code == EXIT_USAGE
+    assert out == "" and "YBE_COSET_CAP must be an integer" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("command", ["check", "analyze", "quotient"])

@@ -40,6 +40,9 @@ def golden_commands() -> list[list[str]]:
             commands.append(["enumerate", "--size", str(size), "--kind", kind, "--json"])
     for kind in ("involutive", "biquandle", "all"):
         commands.append(["enumerate", "--size", "3", "--kind", kind, "--json", "--group-by-rack"])
+        commands += [["enumerate", "--size", str(size), "--kind", kind] for size in (1, 2, 3)]
+        commands.append(["enumerate", "--size", "3", "--kind", kind, "--group-by-rack"])
+    commands.append(["enumerate", "--size", "4", "--kind", "rack"])
     return commands
 
 

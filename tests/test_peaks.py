@@ -3,9 +3,10 @@ census and document output at the sizes of the benchmark's table jobs."""
 
 import sys
 import tracemalloc
+from itertools import chain
 
 from ybe.census import enumerate_racks
-from ybe.cli import EXIT_OK, main, render_document
+from ybe.cli import EXIT_OK, json_pieces, main
 from ybe.core import Rack, Solution, chain_periods, verify_solution
 from ybe.derived import cable
 from ybe.fixtures import SOLUTION_SCHEMA
@@ -50,7 +51,7 @@ def test_render_document_peak_on_the_z97_cable():
         "labels": [str(i) for i in range(c.n)],
     }
     # json's indenting encoder holds about 1.5 MB of pieces for this 190 kB text
-    text, peak = _peak(render_document, doc)
+    text, peak = _peak(lambda d: "".join(chain(json_pieces(d), "\n")), doc)
     assert len(text) > 150_000
     assert peak < 3 * len(text), peak
 
@@ -103,7 +104,7 @@ def test_cable_command_peak_on_z97(tmp_path, monkeypatch):
         "tau": [list(rk.rho(y)) for y in range(p)],
     }
     path = tmp_path / "affine.json"
-    path.write_text(render_document(doc))
+    path.write_text("".join(json_pieces(doc)))
     sink = _CountingSink()
     monkeypatch.setattr(sys, "stdout", sink)
     code, peak = _peak(main, ["cable", "-m", "2", str(path)])

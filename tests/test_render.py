@@ -1,11 +1,11 @@
-"""cli.render_json and render_document against json.dumps(sort_keys=True,
-indent=2), which they replace on the CLI's output path."""
+"""cli.json_pieces, joined, against json.dumps(sort_keys=True, indent=2),
+which it replaces on the CLI's output path."""
 
 import json
 
 import pytest
 
-from ybe.cli import main, render_document, render_json
+from ybe.cli import json_pieces, main
 from ybe.fixtures import fixture_document, fixture_names
 
 
@@ -16,7 +16,7 @@ def reference(value):
 def test_every_fixture_document():
     for name in fixture_names():
         doc = fixture_document(name)
-        assert render_document(doc) == reference(doc) + "\n"
+        assert "".join(json_pieces(doc)) == reference(doc)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -51,7 +51,7 @@ def test_every_fixture_cable(capsys, m):
     {"deep": [[[[[[1]]]]]], "mixed": [{"k": [1, {"j": []}]}, [2, 3]]},
 ])
 def test_values_match_json_dumps(value):
-    assert render_json(value) == reference(value)
+    assert "".join(json_pieces(value)) == reference(value)
 
 
 def test_analyze_and_enumerate_and_catalog_json_match(capsys):
