@@ -7,7 +7,7 @@ from collections.abc import Callable
 from functools import lru_cache
 
 from . import perm
-from .core import BYTE_BOUND, Frozen, Rack, Solution, _is_involutive, _pair_bijective, _ybe_witness
+from .core import BYTE_BOUND, Frozen, Rack, Solution
 from .derived import canonical_form, structure_racks
 from .errors import SizeTooLarge
 
@@ -153,9 +153,16 @@ def enumerate_solutions(
     Over each labeled rack sigma_0, sigma_1, ... are chosen from Aut(>),
     (1) is checked on (x, y) once rows x, y, w and t are chosen, and tau is
     read from t.  Biquandles are the solutions over quandles (is_biquandle).
-    Each candidate is still checked: permutation tau rows, a bijective pair
-    map, the restriction and the braid relation.  Each class keeps its
-    least (sigma, tau).
+    Each class keeps its least (sigma, tau).
+
+    Only the tau rows are checked; right non-degeneracy is not derived here.
+    A candidate meets (1), its sigma rows lie in Aut(>), and its derived
+    operation is the rack > by the choice of t, so it is a solution by
+    core._ybe_holds.  Its pair map is r = J^{-1} r' J, J(x, y) =
+    (x, sigma_x(y)), r'(x, w) = (w, x > w): a bijection, as the right
+    translations of > are.  And r^2 = J^{-1} r'^2 J is the identity iff
+    x > w = x for all x, w: the involutive solutions are those over the
+    trivial rack (perms[0] = id).
     """
     if restrict not in (None, "involutive", "biquandle"):
         raise ValueError(f"unknown restriction {restrict!r}")
@@ -174,9 +181,7 @@ def enumerate_solutions(
             if k == n:
                 sigma = tuple(map(perms.__getitem__, sig))
                 tau = tuple(zip(*[[back[w][x] for w in sigma[x]] for x in range(n)]))
-                if (all(len(set(row)) == n for row in tau) and _pair_bijective(sigma, tau, n)
-                        and (restrict != "involutive" or _is_involutive(sigma, tau, n))
-                        and _ybe_witness(sigma, tau, n) is None):
+                if all(len(set(row)) == n for row in tau):
                     add(Solution(n, sigma, tau), (sigma, tau))
                 return
             for a in auts:
@@ -188,7 +193,10 @@ def enumerate_solutions(
 
         extend(0)
 
-    _labeled_racks(n, restrict == "biquandle", *group, over)
+    if restrict == "involutive":
+        over([0] * n)
+    else:
+        _labeled_racks(n, restrict == "biquandle", *group, over)
     return Census(n, restrict or "all-solutions", *result())
 
 

@@ -484,7 +484,7 @@ class FiniteGroup(Frozen):
         p = self.presentation
         free_rank, torsion = _cokernel(_relator_snf(p)[0], p.generator_count)
         if free_rank or self.order % math.prod(torsion):
-            raise ValueError("the presentation does not present this coset action")
+            raise InvariantViolation("the presentation does not present this coset action")
         return torsion
 
     @property

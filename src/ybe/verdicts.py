@@ -100,16 +100,14 @@ def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> Orderabil
     flags = classify(s)
     if not flags.involutive:
         # look for a generator pair whose difference dies in the
-        # abelianization but survives with finite order in the quotient:
-        # the class of x^{-1} y witnessing torsion.  The SNF that gave the
-        # abelianization gives each generator's image there.
+        # abelianization (the SNF gives each generator's image there) but
+        # not in the quotient, where x^{-1} y is trivial iff x, y share a
+        # coset: its class has finite order, a witness of torsion.
         key = _generator_keys(_relator_snf(structure_presentation(s)), s.n)
         for x in range(s.n):
             for y in range(s.n):
-                if key[x] != key[y]:
-                    continue
-                g = fg.mul(fg.inv(iota[x]), iota[y])
-                if g != 0:
+                if key[x] == key[y] and iota[x] != iota[y]:
+                    g = fg.mul(fg.inv(iota[x]), iota[y])
                     return OrderabilityVerdict(
                         False, ("quotient_torsion", x, y, fg.element_order(g))
                     )

@@ -18,6 +18,7 @@ from ybe import (
     group_by_structure_rack,
     perm,
     verify_rack,
+    verify_solution,
 )
 from ybe.core import Solution, _is_involutive, _pair_bijective, _ybe_witness, is_biquandle, sd_solutions
 from ybe.derived import _relabeled, are_isomorphic, automorphism_count, relabel_rack, structure_racks
@@ -274,16 +275,34 @@ def test_canonical_form_is_the_least_relabeling_on_labeled_censuses():
 
 
 def test_solution_search_checks_only_sigma_compatible_tau_rows(monkeypatch):
-    # without the pruning all (3!)^6 = 46,656 row choices reach the checks;
-    # at n = 3 every sigma that meets (1) over a rack, with tau rows that are
-    # permutations, is a solution
-    calls = []
-    real = census_module._pair_bijective
-    monkeypatch.setattr(census_module, "_pair_bijective",
-                        lambda *args: calls.append(args) or real(*args))
-    census = enumerate_solutions.__wrapped__(3)
-    assert census.total_labeled == 66
-    assert len(calls) == 66
+    # the search checks only that the tau rows are permutations; every table
+    # it tallies passes the full checks, which stay here as oracles
+    tallied = []
+    real = census_module.canonical_form
+    monkeypatch.setattr(census_module, "canonical_form",
+                        lambda obj: tallied.append(obj) or real(obj))
+    for n, restrict, labeled in [(3, None, 66), (4, None, 1800), (4, "involutive", 168)]:
+        tallied.clear()
+        census = enumerate_solutions.__wrapped__(n, restrict, bound=n)
+        assert census.total_labeled == len(tallied) == labeled
+        for s in tallied:
+            assert verify_solution(s.sigma, s.tau) == s
+            assert restrict != "involutive" or _is_involutive(s.sigma, s.tau, n)
+
+
+def test_involutive_solutions_are_those_over_the_trivial_rack():
+    # r = J^{-1} r' J, so r^2 = id iff x > w = x (proof in enumerate_solutions)
+    names = fixture_names()
+    solutions = [fixture_object(name) for name in names if name.startswith("solution/")]
+    solutions += [s for name in names if name.startswith("rack/")
+                  for s in sd_solutions(fixture_rack(name))]
+    solutions += [s for n in (1, 2, 3) for s in _full_product_solutions(n, None)]
+    solutions += enumerate_solutions(4, bound=4).representatives
+    verdicts = [classify(s).involutive for s in solutions]
+    trivial = [all(b == x for x, row in enumerate(structure_racks(s).right.op) for b in row)
+               for s in solutions]
+    assert verdicts == trivial
+    assert True in verdicts and False in verdicts
 
 
 def test_biquandles_are_the_solutions_with_a_quandle_structure_rack():
@@ -357,3 +376,11 @@ def test_six_point_rack_and_quandle_censuses():
     # 353 racks and 73 quandles (Vojtechovsky-Yang, Math. Comp. 2019)
     assert len(enumerate_racks(6, quandles_only=True, bound=6).representatives) == 73
     assert len(enumerate_racks(6, bound=6).representatives) == 353
+
+
+@pytest.mark.slow
+def test_five_point_involutive_census():
+    # 88 classes (Etingof-Schedler-Soloviev, Duke Math. J. 1999), about 80 s
+    census = enumerate_solutions(5, "involutive", bound=5)
+    assert len(census.representatives) == 88
+    assert census.total_labeled == 2640

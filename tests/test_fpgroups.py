@@ -605,11 +605,16 @@ def test_fingerprint_matches_the_table_oracle_on_benchmark_inputs():
 
 
 def test_mismatched_presentation_is_rejected():
+    # a presentation that does not match the coset action is an internal
+    # fault (exit 4), not invalid input
     three_cycle = [(1, 2, 0)]
     for relators in ((), (word_of(0, 0),)):  # Z, and Z/2 of order not dividing 3
         fg = FiniteGroup(tuple(three_cycle), Presentation(1, relators))
-        with pytest.raises(ValueError):
-            fg.fingerprint
+        assert fg.order == 3
+        for read in (lambda: fg.abelian_invariants, lambda: fg.fingerprint):
+            with pytest.raises(InvariantViolation):
+                read()
+    assert abelianization(Presentation(1, (word_of(0, 0),))).torsion == (2,)
 
 
 # -- Felsch over the reduced relators against HLT over all of them ----------

@@ -226,3 +226,17 @@ def test_starting_the_cli_loads_no_code_generation_modules():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_no_assert_statement_in_the_package():
+    # checks that the results depend on must survive python -O
+    import ast
+
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "ybe").glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert len(list((SRC / "ybe").glob("*.py"))) > 5
+    assert found == []

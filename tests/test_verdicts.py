@@ -5,6 +5,7 @@ import pytest
 from ybe import (
     analyze,
     biorderability,
+    enumerate_solutions,
     involutive_orderability,
     sd_dichotomy,
     sd_solutions,
@@ -116,8 +117,11 @@ def _torsion_witness_oracle(s):
 def test_torsion_witness_matches_the_membership_oracle(
     fixture_and_sd_solutions, census_solutions
 ):
+    # the verdict compares cosets; the oracle multiplies them
+    solutions = list(fixture_and_sd_solutions) + list(census_solutions)
+    solutions += enumerate_solutions(4, bound=4).representatives
     found = 0
-    for s in list(fixture_and_sd_solutions) + list(census_solutions):
+    for s in solutions:
         verdict = biorderability(s)
         if verdict.bi_orderable or classify(s).involutive:
             continue
@@ -127,7 +131,7 @@ def test_torsion_witness_matches_the_membership_oracle(
         else:
             found += 1
             assert verdict.certificate == witness, s
-    assert found > 0
+    assert (len(solutions), found) == (312, 64)
 
 
 def test_sd_dichotomy_free_abelian_case():
