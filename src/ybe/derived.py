@@ -14,9 +14,9 @@ from functools import cached_property
 from itertools import permutations
 
 from . import perm
-from .core import Frozen, Rack, Solution, Table, invert_solution, per_input, t_map_of
+from .core import Frozen, Rack, Solution, Table, per_input, t_map_of
 from .errors import SizeTooLarge
-from .words import _sigma_inv, structure_rho, twisted_power
+from .words import structure_rho, twisted_power
 
 ISO_BOUND = 6  # factorial search cap for canonical forms
 
@@ -31,12 +31,10 @@ class StructureRackPair(Frozen, hide=("solution",)):
 
     @cached_property
     def left(self) -> Table:
-        """left[y][x] = y <_r x."""
-        s = self.solution
-        sigma_hat_inv = _sigma_inv(invert_solution(s))
-        return tuple(
-            tuple(s.sigma[y][sigma_hat_inv[y][x]] for x in range(s.n)) for y in range(s.n)
-        )
+        """left[y][x] = y <_r x = sigma_y(sigma^_y^-1(x)) = sigma_y(tau_w(x)),
+        w = sigma_x^-1(y), as r(x, w) = (y, tau_w(x)): Soloviev's x < y,
+        which is x >_r y by core._ybe_holds, so left is right.op transposed."""
+        return tuple(zip(*self.right.op))
 
     @cached_property
     def T(self) -> perm.Perm:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter, deque
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 from . import perm
@@ -38,28 +38,35 @@ class AbelianInvariants(Frozen):
     torsion: tuple[int, ...]  # invariant factors >= 2, each dividing the next
 
 
-def _pair_relator(s: Solution, x: int, y: int) -> Word:
-    u, v = s.r(x, y)
-    return free_reduce(((x, 1), (y, 1), (v, -1), (u, -1)))
+def _pair_relators(s: Solution, pairs: Iterable[tuple[int, int]]) -> dict[Word, None]:
+    """The distinct nontrivial relators x y = sigma_x(y) tau_y(x) of the
+    pairs.  Each letter (g, +-1) is one shared tuple, so the n^2 relators of
+    a structure presentation hold 2n letter tuples between them."""
+    pos = [(g, 1) for g in range(s.n)]
+    neg = [(g, -1) for g in range(s.n)]
+    relators = {}
+    for x, y in pairs:
+        u, v = s.r(x, y)
+        relators[free_reduce((pos[x], pos[y], neg[v], neg[u]))] = None
+    relators.pop((), None)
+    return relators
 
 
 @per_input
 def structure_presentation(s: Solution) -> Presentation:
     """<X | x y = sigma_x(y) tau_y(x)>, one relator per ordered pair."""
-    relators = dict.fromkeys(_pair_relator(s, x, y) for x in range(s.n) for y in range(s.n))
-    relators.pop((), None)
-    return Presentation(s.n, tuple(relators))
+    pairs = ((x, y) for x in range(s.n) for y in range(s.n))
+    return Presentation(s.n, tuple(_pair_relators(s, pairs)))
 
 
 # ---------------------------------------------------------------------------
 # Smith normal form over the integers
 
 
-def _snf_diagonalize(mat: list[list[int]], ncols: int) -> tuple[list[int], list[list[int]]]:
-    """Diagonalize an integer matrix by unimodular row/column operations.
+def _snf_diagonalize(mat: list[list[int]], ncols: int) -> list[int]:
+    """The diagonal entries of U A V for unimodular U, V, found by row and
+    column operations on A.
 
-    Returns (diagonal entries, V) where V is the accumulated column
-    transform: for the input A there are unimodular U, V with U A V diagonal.
     The diagonal is positive but not yet a divisibility chain.  Duplicate
     and zero rows are dropped first; they change neither the row lattice nor
     the cokernel.
@@ -71,7 +78,6 @@ def _snf_diagonalize(mat: list[list[int]], ncols: int) -> tuple[list[int], list[
     """
     a = [list(row) for row in dict.fromkeys(map(tuple, mat)) if any(row)]
     m = len(a)
-    v = [[1 if i == j else 0 for j in range(ncols)] for i in range(ncols)]
     diag = []
     r = 0
     while r < m and r < ncols:
@@ -89,7 +95,7 @@ def _snf_diagonalize(mat: list[list[int]], ncols: int) -> tuple[list[int], list[
         pi, pj = pivot
         a[r], a[pi] = a[pi], a[r]
         if pj != r:
-            for row in a[r:] + v:
+            for row in a[r:]:
                 row[r], row[pj] = row[pj], row[r]
         p, top = a[r][r], a[r]
         # clear the pivot column by row operations
@@ -100,22 +106,15 @@ def _snf_diagonalize(mat: list[list[int]], ncols: int) -> tuple[list[int], list[
                     row[j] -= q * top[j]
         if any(row[r] for row in a[r + 1:]):
             continue
-        # clear the pivot row by column operations (tracked in V); rows
-        # other than r are now zero in column r, so only row r changes
+        # clear the pivot row by column operations; rows other than r are
+        # now zero in column r, so only row r changes
         for j in range(r + 1, ncols):
-            q = top[j] // p
-            if q:
-                top[j] -= q * p
-                for row in v:
-                    row[j] -= q * row[r]
+            top[j] %= p
         if any(top[r + 1:]):
             continue
-        if p < 0:
-            for row in v:
-                row[r] = -row[r]
         diag.append(abs(p))
         r += 1
-    return diag, v
+    return diag
 
 
 def _divisibility_chain(diag: list[int]) -> list[int]:
@@ -139,7 +138,7 @@ def _divisibility_chain(diag: list[int]) -> list[int]:
 
 def smith_invariants(mat: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...]]:
     """(free rank of the cokernel Z^ncols / rowspace, invariant factors > 1)."""
-    return _cokernel(_snf_diagonalize(mat, ncols)[0], ncols)
+    return _cokernel(_snf_diagonalize(mat, ncols), ncols)
 
 
 def _cokernel(diag: list[int], ncols: int) -> tuple[int, tuple[int, ...]]:
@@ -147,24 +146,14 @@ def _cokernel(diag: list[int], ncols: int) -> tuple[int, tuple[int, ...]]:
     return ncols - len(chain), tuple(x for x in chain if x > 1)
 
 
-def _generator_keys(snf: tuple, ncols: int) -> list[tuple[int, ...]]:
-    """The image of each basis vector e_x in the cokernel, as a key: with
-    U A V = diag(d), e_x maps to V[x] reduced mod each d_j (kept whole where
-    d_j = 0), so e_y - e_x lies in the row span of A exactly when the keys
-    of x and y are equal.
-    """
-    diag, v = snf
-    divisors = diag + [0] * (ncols - len(diag))
-    return [tuple(c % d if d else c for c, d in zip(row, divisors)) for row in v]
-
-
 def in_row_lattice(mat: list[list[int]], vec: list[int]) -> bool:
-    """Whether vec lies in the integer row span of mat: exactly when vec.V,
-    reduced as _generator_keys reduces each V[x], is zero in the cokernel."""
+    """Whether vec lies in the integer row span L of mat: exactly when adding
+    it as a row leaves the cokernel's invariants unchanged.  Z^n/L maps onto
+    Z^n/(L + vec); if the two are isomorphic, that surjection is one of a
+    finitely generated abelian group onto itself, hence injective (such
+    groups are Hopfian), so vec already lies in L."""
     n = len(vec)
-    diag, v = _snf_diagonalize(mat, n)
-    image = [sum(c * row[j] for c, row in zip(vec, v)) for j in range(n)]
-    return not any(_generator_keys((diag, [image]), n)[0])
+    return smith_invariants(mat + [vec], n) == smith_invariants(mat, n)
 
 
 def _exponent_matrix(p: Presentation) -> list[list[int]]:
@@ -178,14 +167,14 @@ def _exponent_matrix(p: Presentation) -> list[list[int]]:
 
 
 @per_input
-def _relator_snf(p: Presentation) -> tuple[list[int], list[list[int]]]:
-    """The diagonalized exponent matrix of p, one SNF per presentation."""
+def _relator_snf(p: Presentation) -> list[int]:
+    """The Smith diagonal of p's exponent matrix, one per presentation."""
     return _snf_diagonalize(_exponent_matrix(p), p.generator_count)
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
     """Invariant factors of the abelianized group Z^n / relator lattice."""
-    return AbelianInvariants(*_cokernel(_relator_snf(p)[0], p.generator_count))
+    return AbelianInvariants(*_cokernel(_relator_snf(p), p.generator_count))
 
 
 # ---------------------------------------------------------------------------
@@ -482,7 +471,7 @@ class FiniteGroup(Frozen):
         """Invariant factors of the abelianization: the cokernel of the
         relators' exponent matrix, finite and of order dividing the group's."""
         p = self.presentation
-        free_rank, torsion = _cokernel(_relator_snf(p)[0], p.generator_count)
+        free_rank, torsion = _cokernel(_relator_snf(p), p.generator_count)
         if free_rank or self.order % math.prod(torsion):
             raise InvariantViolation("the presentation does not present this coset action")
         return torsion
@@ -623,8 +612,7 @@ def _quotient_presentation(s: Solution, powers: tuple[Word, ...]) -> Presentatio
         pairs = [(x, y) for x in _rack_generators(s.sigma) for y in range(n)]
     else:
         return Presentation(n, full + powers)
-    kept = dict.fromkeys(_pair_relator(s, x, y) for x, y in pairs)
-    kept.pop((), None)
+    kept = _pair_relators(s, pairs)
     return Presentation(n, tuple(kept) + powers, tuple(w for w in full if w not in kept))
 
 

@@ -17,8 +17,7 @@ from .derived import structure_racks
 from .errors import InvariantViolation, NotInvolutive
 from .fpgroups import (
     DEFAULT_COSET_CAP,
-    _generator_keys,
-    _relator_snf,
+    AbelianInvariants,
     abelianization,
     finite_quotient,
     is_injective,
@@ -29,10 +28,8 @@ from .words import degrees
 
 class OrderabilityVerdict(Frozen):
     bi_orderable: bool
-    # ("free_abelian", rank, orbit_of) when YES;
-    # ("quotient_torsion", x, y, order) / ("ab_torsion", factors) /
-    # ("rank_mismatch", k_r, K_r) / ("noncommuting", x, y) /
-    # ("not_free_abelian",) when NO.
+    # ("free_abelian", rank, orbit_of) when YES; ("separated", x, z) when
+    # NO, x and z in one orbit with distinct finite-quotient images
     certificate: tuple | None
 
 
@@ -75,51 +72,51 @@ class AnalysisReport(Frozen):
         return dict(zip(self._fields, self._values()))
 
 
-def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> OrderabilityVerdict:
-    """Whether the structure group is bi-orderable, i.e. free abelian.
+def _separated(s: Solution, iota: tuple[int, ...]) -> tuple[int, int] | None:
+    """The first (x, z), z = tau_y(x) or sigma_y(x), with iota[x] != iota[z];
+    None exactly when iota is constant on the orbits of X."""
+    for x in range(s.n):
+        for y in range(s.n):
+            for z in (s.tau[y][x], s.sigma[y][x]):
+                if iota[x] != iota[z]:
+                    return x, z
+    return None
 
-    The group is free abelian exactly when the finite quotient is abelian,
-    the abelianization is free of rank equal to the orbit count k_r, and
-    k_r equals the structure-rack orbit count K_r; the certificate is then
-    the map sending each generator to the indicator of its orbit in Z^k.
+
+def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> OrderabilityVerdict:
+    """Whether the structure group G is bi-orderable, i.e. free abelian.
+
+    It is exactly when the generator map into the finite quotient is
+    constant on each orbit; the certificate is then the map sending each
+    generator to the indicator of its orbit in Z^k, k = k_r, and otherwise
+    the first pair of one orbit that the quotient separates.
+
+    Proof.  Every relator x y = sigma_x(y) tau_y(x) dies under the indicator
+    map, as sigma_x(y) lies in the orbit of y and tau_y(x) in that of x.  If
+    G is free abelian, it has rank k by the orbit-rank theorem, so the map
+    induces a surjection G -> Z^k, hence an isomorphism: the points of one
+    orbit are equal in G, so in the quotient.  Conversely, X -> G and X ->
+    quotient identify the same generators, so G is generated by one point
+    per orbit, which commute by the relators: a quotient of Z^k of rank k,
+    hence Z^k.  The YES branch still checks the criterion this replaces.
     """
+    fg, iota = finite_quotient(s, coset_cap)
+    pair = _separated(s, iota)
+    if pair:
+        return OrderabilityVerdict(False, ("separated", *pair))
     orbits = solution_orbits(s)
     k = len(orbits)
     K = len(rack_orbits(structure_racks(s).right))
     ab = abelianization(structure_presentation(s))
-    fg, iota = finite_quotient(s, coset_cap)
-    if fg.is_abelian and ab.torsion == () and ab.free_rank == k and k == K:
-        # every relator x y = sigma_x(y) tau_y(x) holds under nu, because
-        # sigma_x(y) lies in the orbit of y and tau_y(x) in that of x
-        orbit_of = [0] * s.n
-        for i, block in enumerate(orbits):
-            for x in block:
-                orbit_of[x] = i
-        return OrderabilityVerdict(True, ("free_abelian", k, tuple(orbit_of)))
-    # build a NO witness
-    flags = classify(s)
-    if not flags.involutive:
-        # look for a generator pair whose difference dies in the
-        # abelianization (the SNF gives each generator's image there) but
-        # not in the quotient, where x^{-1} y is trivial iff x, y share a
-        # coset: its class has finite order, a witness of torsion.
-        key = _generator_keys(_relator_snf(structure_presentation(s)), s.n)
-        for x in range(s.n):
-            for y in range(s.n):
-                if key[x] == key[y] and iota[x] != iota[y]:
-                    g = fg.mul(fg.inv(iota[x]), iota[y])
-                    return OrderabilityVerdict(
-                        False, ("quotient_torsion", x, y, fg.element_order(g))
-                    )
-    if ab.torsion:
-        return OrderabilityVerdict(False, ("ab_torsion", ab.torsion))
-    if k != K:
-        return OrderabilityVerdict(False, ("rank_mismatch", k, K))
-    for x in range(s.n):
-        for y in range(s.n):
-            if fg.mul(iota[x], iota[y]) != fg.mul(iota[y], iota[x]):
-                return OrderabilityVerdict(False, ("noncommuting", x, y))
-    return OrderabilityVerdict(False, ("not_free_abelian",))
+    if not fg.is_abelian or ab != AbelianInvariants(k, ()) or k != K:
+        raise InvariantViolation(
+            f"the quotient is constant on orbits, but G^ab = {ab}, k_r = {k}, K_r = {K}"
+        )
+    orbit_of = [0] * s.n
+    for i, block in enumerate(orbits):
+        for x in block:
+            orbit_of[x] = i
+    return OrderabilityVerdict(True, ("free_abelian", k, tuple(orbit_of)))
 
 
 def sd_dichotomy(rk: Rack, coset_cap: int = DEFAULT_COSET_CAP) -> SDVerdict:
@@ -132,11 +129,10 @@ def sd_dichotomy(rk: Rack, coset_cap: int = DEFAULT_COSET_CAP) -> SDVerdict:
     and is not left-orderable.
     """
     sol = sd_solutions(rk)[0]
-    _, iota = finite_quotient(sol, coset_cap)
-    for x in range(rk.n):
-        for y in range(rk.n):
-            if iota[x] != iota[rk.op[x][y]]:
-                return SDVerdict("TORSION_NONABELIAN", ("separated", x, rk.op[x][y]))
+    # sigma = id and tau_y(x) = x > y: the pairs (x, x > y) in the order x, y
+    pair = _separated(sol, finite_quotient(sol, coset_cap)[1])
+    if pair:
+        return SDVerdict("TORSION_NONABELIAN", ("separated", *pair))
     tower = mp_tower(sol)
     if tower.mp_level is None or tower.mp_level > 2:
         raise InvariantViolation(

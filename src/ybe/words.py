@@ -23,12 +23,14 @@ def word_of(*gens: int) -> Word:
 
 
 def free_reduce(w: Word) -> Word:
+    """w with each adjacent pair (g, e)(g, -e) cancelled; the letters kept
+    are w's own tuples."""
     out: list[tuple[int, int]] = []
-    for g, e in w:
-        if out and out[-1][0] == g and out[-1][1] == -e:
+    for letter in w:
+        if out and out[-1][0] == letter[0] and out[-1][1] == -letter[1]:
             out.pop()
         else:
-            out.append((g, e))
+            out.append(letter)
     return tuple(out)
 
 

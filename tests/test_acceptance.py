@@ -403,7 +403,7 @@ def test_criterion_9_orderability(involutive3):
         assert iv.diffuse == iv.left_orderable
 
     d_verdict = biorderability(fixture_solution("solution/dihedral3-sd"))
-    assert d_verdict.certificate == ("quotient_torsion", 0, 1, 3)
+    assert d_verdict.certificate == ("separated", 0, 2)
 
     rk4 = fixture_rack("rack/4pt-torsion")
     assert sd_dichotomy(rk4).verdict == "TORSION_NONABELIAN"

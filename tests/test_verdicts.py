@@ -3,24 +3,24 @@
 import pytest
 
 from ybe import (
+    abelianization,
     analyze,
     biorderability,
+    enumerate_racks,
     enumerate_solutions,
+    finite_quotient,
     involutive_orderability,
     sd_dichotomy,
     sd_solutions,
+    structure_presentation,
     verify_rack,
     verify_solution,
 )
-from ybe.core import classify
-from ybe.errors import NotInvolutive
+from ybe.core import rack_orbits, solution_orbits
+from ybe.derived import structure_racks
+from ybe.errors import CosetLimitExceeded, NotInvolutive
 from ybe.fixtures import fixture_rack, fixture_solution
-from ybe.fpgroups import (
-    _exponent_matrix,
-    finite_quotient,
-    in_row_lattice,
-    structure_presentation,
-)
+from ybe.fpgroups import DEFAULT_COSET_CAP
 
 
 def test_trivial_flip_is_biorderable():
@@ -54,30 +54,29 @@ def test_free_abelian_certificate_verifies(fixture_and_sd_solutions, census_solu
     assert yes > 0
 
 
-def test_dihedral_sd_solution_has_quotient_torsion():
-    verdict = biorderability(fixture_solution("solution/dihedral3-sd"))
+def test_dihedral_sd_solution_is_separated():
+    s = fixture_solution("solution/dihedral3-sd")
+    verdict = biorderability(s)
     assert not verdict.bi_orderable
-    kind, x, y, order = verdict.certificate
-    assert kind == "quotient_torsion"
-    assert (x, y, order) == (0, 1, 3)
-    # the witness really has that order in the finite quotient
-    fg, iota = finite_quotient(fixture_solution("solution/dihedral3-sd"))
-    g = fg.mult[fg.inv(iota[x])][iota[y]]
-    assert fg.element_order(g) == 3
+    assert verdict.certificate == ("separated", 0, 2)
+    # 2 = tau_1(0), and the finite quotient keeps 0 and 2 apart
+    assert s.tau[1][0] == 2
+    _, iota = finite_quotient(s)
+    assert iota[0] != iota[2]
 
 
-def test_abelianization_torsion_witness():
-    verdict = biorderability(fixture_solution("solution/dihedral3-c"))
-    assert verdict.certificate == ("ab_torsion", (3,))
+def test_separated_certificates_with_abelianization_torsion():
+    assert biorderability(fixture_solution("solution/dihedral3-c")).certificate == (
+        "separated", 0, 2)
     verdict = biorderability(fixture_solution("solution/twisted-flip2"))
     assert not verdict.bi_orderable
-    assert verdict.certificate[0] == "ab_torsion"
+    assert verdict.certificate == ("separated", 0, 1)
 
 
 def test_involutive_nontrivial_flip_not_biorderable():
     verdict = biorderability(fixture_solution("solution/invol3-c"))
     assert not verdict.bi_orderable
-    assert verdict.certificate[0] == "rank_mismatch"
+    assert verdict.certificate == ("separated", 1, 2)
 
 
 def test_sd_dichotomy_on_three_point_quandles():
@@ -97,41 +96,73 @@ def test_sd_dichotomy_on_torsion_quandle_with_injectivity():
     assert is_injective(sd_solutions(rk)[0])[0]
 
 
-def _torsion_witness_oracle(s):
-    """The first generator pair (x, y) whose difference lies in the relator
-    lattice but not in the kernel of the finite quotient, found by one
-    membership query per pair."""
-    fg, iota = finite_quotient(s)
-    matrix = _exponent_matrix(structure_presentation(s))
-    for x in range(s.n):
-        for y in range(s.n):
-            g = fg.mul(fg.inv(iota[x]), iota[y])
-            diff = [0] * s.n
-            diff[x] -= 1
-            diff[y] += 1
-            if g != 0 and in_row_lattice(matrix, diff):
-                return ("quotient_torsion", x, y, fg.element_order(g))
-    return None
+def check_certificate(s, verdict, coset_cap=DEFAULT_COSET_CAP):
+    """Re-derive a biorderability verdict from the tables, the orbits and the
+    finite quotient.  A separated pair lies in one orbit and has distinct
+    quotient images; the verdict must agree with the criterion that the
+    quotient is abelian, G^ab is free of rank k_r and k_r = K_r."""
+    kind = verdict.certificate[0]
+    assert kind in ("free_abelian", "separated"), verdict
+    orbits = solution_orbits(s)
+    fg, iota = finite_quotient(s, coset_cap)
+    if kind == "separated":
+        _, x, z = verdict.certificate
+        assert any(x in block and z in block for block in orbits), (s, verdict)
+        assert iota[x] != iota[z], (s, verdict)
+    k = len(orbits)
+    K = len(rack_orbits(structure_racks(s).right))
+    ab = abelianization(structure_presentation(s))
+    criterion = fg.is_abelian and (ab.free_rank, ab.torsion) == (k, ()) and k == K
+    assert verdict.bi_orderable is criterion, (s, verdict)
+    assert verdict.bi_orderable is (kind == "free_abelian"), (s, verdict)
 
 
-def test_torsion_witness_matches_the_membership_oracle(
-    fixture_and_sd_solutions, census_solutions
-):
-    # the verdict compares cosets; the oracle multiplies them
+def test_biorderability_certificates_check_out(fixture_and_sd_solutions, census_solutions):
     solutions = list(fixture_and_sd_solutions) + list(census_solutions)
     solutions += enumerate_solutions(4, bound=4).representatives
-    found = 0
+    yes = 0
     for s in solutions:
         verdict = biorderability(s)
-        if verdict.bi_orderable or classify(s).involutive:
+        check_certificate(s, verdict)
+        yes += verdict.bi_orderable
+    assert (len(solutions), yes) == (312, 173)
+
+
+@pytest.mark.slow
+def test_five_point_biorderability_certificates():
+    # 3,607 classes: the census takes about 130 s, the checks about 11 s;
+    # one class needs more than 2 * 10^4 cosets
+    cap, capped, checked = 2 * 10**4, 0, 0
+    for s in enumerate_solutions(5, bound=5).representatives:
+        try:
+            verdict = biorderability(s, cap)
+        except CosetLimitExceeded:
+            capped += 1
             continue
-        witness = _torsion_witness_oracle(s)
-        if witness is None:
-            assert verdict.certificate[0] != "quotient_torsion", s
-        else:
-            found += 1
-            assert verdict.certificate == witness, s
-    assert (len(solutions), found) == (312, 64)
+        check_certificate(s, verdict, cap)
+        checked += 1
+    assert (checked, capped) == (3606, 1)
+
+
+def _sd_dichotomy_reference(rk):
+    """The self-distributive dichotomy by its own loop over (x, x > y)."""
+    _, iota = finite_quotient(sd_solutions(rk)[0])
+    for x in range(rk.n):
+        for y in range(rk.n):
+            if iota[x] != iota[rk.op[x][y]]:
+                return "TORSION_NONABELIAN", ("separated", x, rk.op[x][y])
+    return "FREE_ABELIAN", None
+
+
+def test_sd_dichotomy_matches_its_reference_loop(rack_fixtures):
+    racks = list(rack_fixtures.values())
+    racks += [rk for n in range(1, 5) for rk in enumerate_racks(n).representatives]
+    torsion = 0
+    for rk in racks:
+        verdict = sd_dichotomy(rk)
+        assert (verdict.verdict, verdict.witness) == _sd_dichotomy_reference(rk), rk
+        torsion += verdict.witness is not None
+    assert torsion > 0
 
 
 def test_sd_dichotomy_free_abelian_case():
@@ -154,6 +185,19 @@ def test_sd_dichotomy_checks_the_level_with_a_typed_error(monkeypatch):
     monkeypatch.setattr(verdicts, "mp_tower", lambda s: SimpleNamespace(mp_level=3))
     with pytest.raises(InvariantViolation, match="level is 3"):
         sd_dichotomy(fixture_rack("rack/3pt-free-image"))
+
+
+def test_biorderability_checks_the_old_criterion_with_a_typed_error(monkeypatch):
+    # a quotient constant on orbits with G^ab not free of rank k_r is a bug
+    from ybe import verdicts
+    from ybe.errors import InvariantViolation
+    from ybe.fpgroups import AbelianInvariants
+
+    sol = sd_solutions(fixture_rack("rack/3pt-free-image"))[0]
+    assert biorderability(sol).bi_orderable
+    monkeypatch.setattr(verdicts, "abelianization", lambda p: AbelianInvariants(2, (2,)))
+    with pytest.raises(InvariantViolation, match="constant on orbits"):
+        biorderability(sol)
 
 
 def test_sd_dichotomy_agrees_with_biorderability(rack_fixtures):
@@ -284,9 +328,8 @@ def test_biorderability_diagonalizes_a_constant_number_of_times(monkeypatch):
     shift = [(v + 1) % n for v in range(n)]
     s = verify_solution([shift] * n, [shift] * n)  # r(x, y) = (y + 1, x + 1)
     verdict = biorderability(s)
-    # no generator pair is a torsion witness, so every pair was queried
-    assert verdict.certificate[0] == "ab_torsion"
-    # the abelianization and one SNF shared by all membership queries
+    # the quotient separates 0 from tau_0(0) = 1 at once, before any SNF
+    assert verdict.certificate == ("separated", 0, 1)
     assert len(calls) <= 2
 
 
