@@ -3,22 +3,22 @@ retraction tower, cabling, and isomorphism testing.
 
 Every construction here returns a solution or rack by theorem, so each is
 built with the plain Solution / Rack constructor and is not validated again;
-quotients check only that their classes form a congruence.  Isomorphism
-testing compares flattened relabeled tables and builds no objects.
+quotients check only that their classes form a congruence.  Canonical
+forms, isomorphisms and automorphism counts come from one row-by-row filter
+over the relabelings (_least_relabelings), which builds no objects.
 """
 
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from functools import cached_property
-from itertools import permutations
+from functools import cached_property, lru_cache
 
 from . import perm
-from .core import Frozen, Rack, Solution, Table, per_input, t_map_of
+from .core import BYTE_BOUND, Frozen, Rack, Solution, Table, per_input, t_map_of
 from .errors import SizeTooLarge
 from .words import structure_rho, twisted_power
 
-ISO_BOUND = 6  # factorial search cap for canonical forms
+ISO_BOUND = 6  # n! relabelings are tried
 
 
 class StructureRackPair(Frozen, hide=("solution",)):
@@ -202,111 +202,73 @@ def relabel_rack(rk: Rack, f: perm.Perm) -> Rack:
     return Rack(rk.n, _rows(_relabeled(rk, f), rk.n))
 
 
-def canonical_form(obj: Solution | Rack) -> tuple[int, ...]:
-    """Lexicographically least flattened table over all n! relabelings.
+@lru_cache(maxsize=None)
+def _relabelings(n: int) -> tuple[tuple[tuple[bytes, bytes], ...], ...]:
+    """(g, f + pad) for every g in S_n, f = g^{-1}, as byte strings, in
+    blocks by g_0: a constant table of each n, so it is cached by n."""
+    pad = bytes(BYTE_BOUND - n)
+    pairs = [(bytes(g), bytes(perm.inverse(g)) + pad) for g in perm.all_perms(n)]
+    return tuple(tuple(gf for gf in pairs if gf[0][0] == x) for x in range(n))
 
-    Branch and bound over g = f^{-1}: labels 0, 1, ... are given out in
-    order, g[m] being the point that receives label m.  Once labels < m are
-    given out, each table's relabeled row i < m is partly known:
-      - entry j < m is f(t[g_i][g_j]), exact when that point has a label and
-        otherwise at least m, the least label still free;
-      - entries j >= m are the values f(t[g_i][u]) over the unlabelled u in
-        some order, so their sorted values (each unknown one taken as m) are
-        a lexicographic lower bound, and they are determined once all of
-        them are exact and equal.
-    Reading the flattened table in order, a branch is cut as soon as this
-    bound exceeds the least table found so far; the reading stops at the
-    first entry that is neither determined nor decisive.  Points are tried
-    in decreasing order of how often t[x][y] = x in their row of the first
-    table: those zeros are what row 0 of the least table begins with, so it
-    tends to be found early.  The order only speeds up the cut.
 
-    A leaf g that equals the least table, found earlier at leaf g', gives an
-    automorphism g g'^{-1} that fixes the points labelled before the first
-    level l where g and g' differ.  It carries the subtree explored through
-    g'_l onto the one being explored through g_l, so the search returns to
-    level l at once.
+def _least_relabelings(obj: Solution | Rack) -> tuple[bytes, list[tuple[bytes, bytes]]]:
+    """The least flattened table over all n! relabelings, and the (g, f + pad)
+    that give it.
+
+    Relabeled by f = g^{-1}, row i of a table t is f(t[g_i][g_j]) over j, the
+    byte string g.translate(t[g_i] + pad).translate(f + pad).  Rows are read
+    in flattened order (sigma rows, then tau rows), and only the relabelings
+    whose row equals the least one are kept: a flattened table is least
+    exactly when each of its rows is least given the rows before it.  The
+    survivors of the last row are g_0 Aut(obj), for any one survivor g_0.
+
+    First-point cut: relabeled row 0 of the first table t has a zero for
+    each y with t[g_0][y] = g_0.  If t[g_0][g_0] = g_0 they can all lead
+    (the other such y taking labels 1, 2, ...); otherwise the row begins
+    with a nonzero entry.  So when some a has t[a][a] = a, only the points
+    g_0 with t[g_0][g_0] = g_0 and the most such y can start the least
+    table, as more leading zeros is lexicographically smaller.
     """
     n = obj.n
     if n > ISO_BOUND:
-        raise SizeTooLarge(f"canonicalization bound is {ISO_BOUND}, got size {n}")
+        raise SizeTooLarge(f"isomorphism search bound is {ISO_BOUND}, got size {n}")
+    pad = bytes(BYTE_BOUND - n)
     tables = _tables(obj)
-    g, f = [0] * n, [n] * n  # f[x] == n: x has no label yet
-    best: tuple[int, ...] = ()
-    best_g: list[int] = []
-    order = sorted(range(n), key=lambda x: -tables[0][x].count(x))
+    zeros = {x: tables[0][x].count(x) for x in range(n) if tables[0][x][x] == x}
+    most = max(zeros.values(), default=0)  # with no such a, every g_0 is tried
+    live = [gf for x in range(n) if zeros.get(x, 0) == most for gf in _relabelings(n)[x]]
+    least = []
+    for t in tables:
+        padded = [bytes(row) + pad for row in t]
+        for i in range(n):
+            rows = [g.translate(padded[g[i]]).translate(f) for g, f in live]
+            row = min(rows)
+            live = [gf for gf, r in zip(live, rows) if r == row]
+            least.append(row)
+    return b"".join(least), live
 
-    def compare(m: int) -> int:
-        """1 if every completion of g[:m] exceeds best, 0 if g (m = n)
-        gives best, -1 otherwise."""
-        labelled = g[:m]
-        free = [u for u in range(n) if f[u] == n]
-        pos = 0
-        for t in tables:
-            for x in labelled:
-                row = t[x]
-                for y in labelled:
-                    v, b = f[row[y]], best[pos]
-                    pos += 1
-                    if v >= m:  # unlabelled, so at least m
-                        return 1 if b < m else -1
-                    if v != b:
-                        return 1 if v > b else -1
-                if free:
-                    tail = sorted([f[row[u]] for u in free])
-                    for v in tail:
-                        b = best[pos]
-                        pos += 1
-                        if v >= m:
-                            return 1 if b < m else -1
-                        if v != b:
-                            return 1 if v > b else -1
-                    if tail[0] != tail[-1]:
-                        return -1
-            if free:
-                return -1
-        return 0
 
-    def search(m: int) -> int | None:
-        """Give label m to each free point in turn; return the level to go
-        back to, if an automorphism cuts the search short."""
-        nonlocal best
-        for u in order:
-            if f[u] != n:
-                continue
-            g[m], f[u] = u, m
-            jump = None
-            if m + 1 == n:
-                c = compare(n) if best else -1
-                if c < 0:
-                    best, best_g[:] = tuple(f[t[x][y]] for t in tables for x in g for y in g), g
-                elif c == 0:
-                    jump = next(i for i in range(n) if g[i] != best_g[i])
-            elif m + 2 == n or not best or compare(m + 1) < 1:
-                jump = search(m + 1)  # with one point left, its leaf decides
-            f[u] = n
-            if jump is not None and jump < m:
-                return jump
-        return None
-
-    search(0)
-    return best
+def canonical_form(obj: Solution | Rack) -> tuple[int, ...]:
+    """Lexicographically least flattened table over all n! relabelings."""
+    return tuple(_least_relabelings(obj)[0])
 
 
 def are_isomorphic(a: Solution | Rack, b: Solution | Rack) -> perm.Perm | None:
-    """A relabeling carrying a onto b, or None."""
+    """The least relabeling carrying a onto b, or None.
+
+    With f_a, f_b carrying a and b onto their common canonical form, the
+    isomorphisms are f_b^{-1} f_a over the survivors f_a of a."""
     if type(a) is not type(b):
         raise TypeError("can only compare two Solutions or two Racks")
     if a.n != b.n:
         return None
-    if a.n > ISO_BOUND:
-        raise SizeTooLarge(f"isomorphism search bound is {ISO_BOUND}, got size {a.n}")
-    target = _relabeled(b, perm.identity(b.n))
-    return next((f for f in permutations(range(a.n)) if _relabeled(a, f) == target), None)
+    canon_a, live_a = _least_relabelings(a)
+    canon_b, live_b = _least_relabelings(b)
+    if canon_a != canon_b:
+        return None
+    g_b = live_b[0][0] + bytes(BYTE_BOUND - b.n)
+    return min(tuple(f[:a.n].translate(g_b)) for _, f in live_a)
 
 
 def automorphism_count(obj: Solution | Rack) -> int:
-    if obj.n > ISO_BOUND:
-        raise SizeTooLarge(f"isomorphism search bound is {ISO_BOUND}, got size {obj.n}")
-    own = _relabeled(obj, perm.identity(obj.n))
-    return sum(1 for f in permutations(range(obj.n)) if _relabeled(obj, f) == own)
+    return len(_least_relabelings(obj)[1])

@@ -403,8 +403,8 @@ class FiniteGroup(Frozen):
     Coset c is the element g_c with 0.g_c = c, so coset 0 is the identity and
     actions[x] is right multiplication by generator x.  A breadth-first
     Schreier tree from coset 0 spells each g_c as a word in the generators;
-    products, inverses and orders are traced along the actions, and the
-    N x N table `mult` is built only when it is asked for.
+    element orders are traced along the actions, and the N x N table `mult`
+    is built only when it is asked for.
     """
 
     actions: tuple[perm.Perm, ...]
@@ -438,31 +438,16 @@ class FiniteGroup(Frozen):
                     bfs.append(d)
         return bfs, parent, edge
 
-    def _word(self, c: int) -> list[int]:
-        """The symbols of g_c, from coset 0 down the tree to c."""
+    def element_order(self, a: int) -> int:
         _, parent, edge = self._tree
-        word = []
-        while c:
+        word, c = [], a
+        while c:  # the symbols of g_a, from a up the tree to coset 0
             word.append(edge[c])
             c = parent[c]
-        return word[::-1]
-
-    def _trace(self, c: int, word: list[int]) -> int:
-        for s in word:
-            c = self._symbols[s][c]
-        return c
-
-    def mul(self, a: int, b: int) -> int:
-        return self._trace(a, self._word(b))
-
-    def inv(self, a: int) -> int:
-        # g_a^-1 spells the word of g_a backwards, each symbol inverted
-        return self._trace(0, [s ^ 1 for s in reversed(self._word(a))])
-
-    def element_order(self, a: int) -> int:
-        word, k, c = self._word(a), 1, a
+        k, c = 1, a
         while c:
-            c = self._trace(c, word)
+            for s in reversed(word):
+                c = self._symbols[s][c]
             k += 1
         return k
 

@@ -21,7 +21,9 @@ from ybe import (
     verify_solution,
 )
 from ybe.core import Solution, _is_involutive, _pair_bijective, _ybe_witness, is_biquandle, sd_solutions
-from ybe.derived import _relabeled, are_isomorphic, automorphism_count, relabel_rack, structure_racks
+from ybe.derived import (
+    _relabeled, are_isomorphic, automorphism_count, relabel_rack, relabel_solution, structure_racks,
+)
 from ybe.errors import SizeTooLarge
 from ybe.fixtures import fixture_names, fixture_object, fixture_rack
 
@@ -199,6 +201,12 @@ def _oracle_canonical_form(obj):
     return min(_relabeled(obj, f) for f in permutations(range(obj.n)))
 
 
+def _oracle_automorphism_count(obj):
+    """The relabelings, over all n!, that leave the flattened table fixed."""
+    own = _relabeled(obj, perm.identity(obj.n))
+    return sum(_relabeled(obj, f) == own for f in permutations(range(obj.n)))
+
+
 def _oracle_census(n, kind, labeled):
     classes = {}
     for obj in labeled:
@@ -265,13 +273,22 @@ def test_solution_search_matches_the_full_product_oracle(restrict):
 
 
 def test_canonical_form_is_the_least_relabeling_on_labeled_censuses():
-    reps = enumerate_racks(5, bound=5).representatives
-    labeled = {relabel_rack(rk, f) for rk in reps for f in perm.all_perms(5)}
+    censuses = [enumerate_racks(5, bound=5), enumerate_solutions(4, bound=4)]
+    censuses += [enumerate_solutions(n) for n in (1, 2, 3)]
+    rack_reps, solution4_reps = censuses[0].representatives, censuses[1].representatives
+    labeled = {relabel_rack(rk, f) for rk in rack_reps for f in perm.all_perms(5)}
     assert len(labeled) == 1708
+    solutions4 = {relabel_solution(s, f) for s in solution4_reps for f in perm.all_perms(4)}
+    assert len(solutions4) == 1800
     solutions = [s for n in (1, 2, 3) for s in _full_product_solutions(n, None)]
     assert len(solutions) == 1 + 4 + 66
-    for obj in list(labeled) + solutions:
-        assert canonical_form(obj) == _oracle_canonical_form(obj)
+    rep_of = {canonical_form(rep): rep for c in censuses for rep in c.representatives}
+    for obj in list(labeled) + list(solutions4) + solutions:
+        canon = canonical_form(obj)
+        assert canon == _oracle_canonical_form(obj)
+        assert automorphism_count(obj) == _oracle_automorphism_count(obj)
+        relabel = relabel_rack if isinstance(obj, Rack) else relabel_solution
+        assert relabel(obj, are_isomorphic(obj, rep_of[canon])) == rep_of[canon]
 
 
 def test_solution_search_checks_only_sigma_compatible_tau_rows(monkeypatch):

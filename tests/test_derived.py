@@ -336,6 +336,10 @@ def _flat_oracle(obj):
 def test_isomorphism_search_matches_the_object_oracle(census_solutions, racks4):
     racks = [rk for n in (1, 2, 3) for rk in enumerate_racks(n).representatives]
     racks += list(racks4.representatives)
+    # points 2..5 have x > x != x and four y with x > y = x; only 0 and 1,
+    # with two such y each, may take label 0, because they fix themselves
+    racks.append(verify_rack([(0, 0, 1, 1, 1, 1), (1, 1, 0, 0, 0, 0), (2, 2, 3, 3, 2, 2),
+                              (3, 3, 2, 2, 3, 3), (4, 4, 4, 4, 5, 5), (5, 5, 5, 5, 4, 4)]))
     for objects in (list(census_solutions), racks):
         for a in objects:
             perms = perm.all_perms(a.n)
