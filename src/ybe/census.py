@@ -158,8 +158,8 @@ def enumerate_solutions(
     Only the tau rows are checked; right non-degeneracy is not derived here.
     A candidate meets (1), its sigma rows lie in Aut(>), and its derived
     operation is the rack > by the choice of t, so it is a solution by
-    core._ybe_holds.  Its pair map is r = J^{-1} r' J, J(x, y) =
-    (x, sigma_x(y)), r'(x, w) = (w, x > w): a bijection, as the right
+    core._ybe_holds.  Its pair map is r = J^{-1} r' J, r'(x, w) =
+    (w, x > w) (the J lemma of core._derived_op): a bijection, as the right
     translations of > are.  And r^2 = J^{-1} r'^2 J is the identity iff
     x > w = x for all x, w: the involutive solutions are those over the
     trivial rack (perms[0] = id).

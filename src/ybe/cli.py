@@ -183,7 +183,7 @@ def cmd_quotient(args) -> int:
     doc = _load_document(args.path)
     obj = object_from_document(doc)
     if isinstance(obj, Rack):
-        fg = rack_finite_quotient(obj, "right", coset_cap=cap)
+        fg = rack_finite_quotient(obj, coset_cap=cap)
         iota = fg.gen_images
     else:
         fg, iota = finite_quotient(obj, coset_cap=cap)

@@ -179,8 +179,8 @@ class ChainReport(Frozen):
 def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]) -> Solution:
     """Validate the two tables and return a Solution.
 
-    Checks non-degeneracy row by row, bijectivity of the pair map, and the
-    Yang-Baxter equation on all n^3 triples: by _ybe_holds when n <=
+    Checks non-degeneracy row by row, bijectivity of the pair map (_derived_op),
+    and the Yang-Baxter equation on all n^3 triples: by _ybe_holds when n <=
     BYTE_BOUND, and by the exact scan _ybe_witness, which names the first
     failing triple, when that fails or n is larger.
     """
@@ -195,13 +195,34 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
     for y in range(n):
         if not perm.is_perm(tau[y], n):
             raise DegenerateRow("tau", y)
-    if not _pair_bijective(sigma, tau, n):
+    op = _derived_op(sigma, tau)
+    if any(len(set(column)) != n for column in zip(*op)):
         raise NotInvertible("the pair map (x,y) -> (sigma_x(y), tau_y(x)) is not bijective")
-    if n > BYTE_BOUND or not _ybe_holds(sigma, tau, n):
+    if n > BYTE_BOUND or not _ybe_holds(sigma, tau, op, n):
         witness = _ybe_witness(sigma, tau, n)
         if witness is not None:
             raise YBEFailure(witness)
     return Solution(n, sigma, tau)
+
+
+def _derived_op(sigma: Table, tau: Table) -> list:
+    """Rows of Soloviev's derived operation op[x][w] = x < w =
+    sigma_w(tau_{sigma_x^{-1}(w)}(x)), for permutation sigma rows and tau
+    entries in range(n); for a solution, its right structure rack.
+
+    J lemma: J(x, y) = (x, sigma_x(y)) is a bijection of X^2, and
+    J r J^{-1}(x, w) = (w, sigma_w(tau_y(x))) = (w, x < w) for w = sigma_x(y).
+    So r is a bijection exactly when every column x -> x < w is one.  []
+    Rows are bytes when n <= BYTE_BOUND, so op takes n^2 bytes.
+    """
+    n = len(sigma)
+    op = []
+    for sigma_x, col in zip(sigma, zip(*tau)):  # col[y] = tau_y(x)
+        row = [0] * n
+        for w, v in zip(sigma_x, col):  # w = sigma_x(y), v = tau_y(x)
+            row[w] = sigma[w][v]
+        op.append(bytes(row) if n <= BYTE_BOUND else row)
+    return op
 
 
 # Tables on at most this many points have every entry in a byte, so their
@@ -209,14 +230,14 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
 BYTE_BOUND = 256
 
 
-def _ybe_holds(sigma: Table, tau: Table, n: int) -> bool:
+def _ybe_holds(sigma: Table, tau: Table, op: list[bytes], n: int) -> bool:
     """Whether r(x, y) = (sigma_x(y), tau_y(x)) satisfies the braid relation,
     decided by Soloviev's criterion (Math. Res. Lett. 2000; Lebed-Vendramin,
     Adv. Math. 2017) in O(n^2) compositions of byte rows.
 
     Every sigma row must be a permutation of range(n), every tau entry must
     lie in range(n), and n <= BYTE_BOUND.  Write r_1 = r x id and
-    r_2 = id x r on X^3, and define the derived operation
+    r_2 = id x r on X^3, and let op = _derived_op(sigma, tau) hold
       x < w = sigma_w(tau_{sigma_x^{-1}(w)}(x)),  so  x < sigma_x(y) = sigma_a(b)
     with (a, b) = r(x, y).  Then r is a solution exactly when
       (1) sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for all x, y,
@@ -258,19 +279,14 @@ def _ybe_holds(sigma: Table, tau: Table, n: int) -> bool:
     rows = [bytes(row) for row in sigma]
     after = [row + pad for row in rows]  # q.translate(after[x]) = sigma_x o q
     sigmas = b"".join(rows)  # sigmas.translate(after[x]) holds sigma_x sigma_y for each y
-    ident = bytes(range(n))
-    ops = []  # ops[x][w] = x < w
     for x, (sigma_x, col) in enumerate(zip(rows, zip(*tau))):
         # over y, (a, b) = r(x, y) runs through zip(sigma_x, col)
         products = map(bytes.translate, map(rows.__getitem__, col), map(after.__getitem__, sigma_x))
         if sigmas.translate(after[x]) != b"".join(products):  # (1)
             return False
-        # (x < sigma_x(y))_y = (sigma_a(b))_y, composed with sigma_x^{-1}
-        below = bytes(map(bytes.__getitem__, map(rows.__getitem__, sigma_x), col))
-        ops.append(bytes.maketrans(sigma_x, ident)[:n].translate(below + pad))
     # (2) and (3): every right translation of < and every sigma_x preserve <
-    flat = b"".join(ops)
-    return _preserve(ops, [flat[w::n] for w in range(n)] + rows, n)
+    flat = b"".join(op)
+    return _preserve(op, [flat[w::n] for w in range(n)] + rows, n)
 
 
 def _preserve(op: list[bytes], maps: list[bytes], n: int) -> bool:
@@ -329,32 +345,6 @@ def _ybe_witness(sigma: Table, tau: Table, n: int) -> tuple[int, int, int] | Non
     return None
 
 
-def _pair_bijective(sigma, tau, n: int) -> bool:
-    """Whether the pair map P(x, y) = (sigma_x(y), tau_y(x)) is a bijection,
-    for sigma rows that are permutations of range(n).
-
-    Criterion: P is a bijection iff for each a the n values tau_y(x) with
-    sigma_x(y) = a are distinct.  Proof.  X^2 is finite, so P is a
-    bijection iff it is injective.  Two pairs with different sigma_x(y)
-    have different images, so P is injective iff it is injective on each
-    fibre F_a = {(x, y) : sigma_x(y) = a}.  As sigma_x is a permutation,
-    F_a holds exactly one pair (x, sigma_x^{-1}(a)) for each x, and P maps
-    all of F_a to first coordinate a, so P is injective on F_a iff the
-    second coordinates tau_y(x) over its n pairs are distinct.  []
-
-    Row x of `at` holds tau_y(x) at position a = sigma_x(y), so column a
-    lists the second coordinates over F_a: n rows of n entries, never the
-    n^2 pairs.
-    """
-    at = []
-    for row, col in zip(sigma, zip(*tau)):  # col[y] = tau_y(x)
-        line = [0] * n
-        for a, v in zip(row, col):
-            line[a] = v
-        at.append(line)
-    return all(len(set(column)) == n for column in zip(*at))
-
-
 def _is_involutive(sigma, tau, n: int) -> bool:
     """Whether r(r(x, y)) = (x, y) for all x, y."""
     for x in range(n):
@@ -365,7 +355,6 @@ def _is_involutive(sigma, tau, n: int) -> bool:
     return True
 
 
-@per_input
 def invert_solution(s: Solution) -> Solution:
     """The inverse braiding r^{-1}(x,y) = (sigma^_x(y), tau^_y(x)).
 

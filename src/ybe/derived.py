@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from . import perm
 from .core import BYTE_BOUND, Frozen, Rack, Solution, Table, per_input, t_map_of
 from .errors import SizeTooLarge
-from .words import structure_rho, twisted_power
+from .words import structure_rho
 
 ISO_BOUND = 6  # n! relabelings are tried
 
@@ -32,8 +32,8 @@ class StructureRackPair(Frozen, hide=("solution",)):
     @cached_property
     def left(self) -> Table:
         """left[y][x] = y <_r x = sigma_y(sigma^_y^-1(x)) = sigma_y(tau_w(x)),
-        w = sigma_x^-1(y), as r(x, w) = (y, tau_w(x)): Soloviev's x < y,
-        which is x >_r y by core._ybe_holds, so left is right.op transposed."""
+        w = sigma_x^-1(y), as r(x, w) = (y, tau_w(x)): x < y of
+        core._derived_op, which is x >_r y, so left is right.op transposed."""
         return tuple(zip(*self.right.op))
 
     @cached_property
@@ -52,8 +52,8 @@ def structure_racks(s: Solution) -> StructureRackPair:
 
     The right operation is x >_r y = tau_y(tau^_y^{-1}(x)) and the left one
     is y <_r x = sigma_y(sigma^_y^{-1}(x)); T(y) = tau_y^{-1}(y) and
-    Sq(x) = x >_r x = x <_r x.  The structure rack of a solution is a rack,
-    so its table is not checked again.
+    Sq(x) = x >_r x = x <_r x.  The right rack is core._derived_op (J lemma
+    there); it is a rack, so its table is not checked again.
     """
     right = Rack(s.n, tuple(zip(*structure_rho(s))))
     return StructureRackPair(right, sq_map(right), s)
@@ -158,23 +158,36 @@ def cable(s: Solution, m: int) -> Solution:
     So every row is a permutation, and r^[m] is the m-cabled braiding on
     X^m restricted to the twisted diagonal x -> x^[m]; it is a solution and
     is not validated again.
+
+    The letters w_m, w_{m-1}, ... are c_j = T^j(x), of period l, the length
+    of x's cycle under T.  With L_k = sigma_{c_{k-1}} ... sigma_{c_0} and
+    R_k = tau_{c_0} ... tau_{c_{k-1}}, m = k l + r gives L_r L_l^k and
+    R_l^k R_r, so at most min(m, l) letters are walked.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
     n = s.n
-    t_fwd = perm.power(t_map_of(s), m - 1)
+    t = t_map_of(s)
+    t_fwd = perm.power(t, m - 1)
     t_back = perm.inverse(t_fwd)
     sigma_c, tau_c = [], []
     for x in range(n):
-        letters = [g for g, _ in twisted_power(s, x, m)]
-        row = t_fwd
-        for g in reversed(letters):
-            row = perm.compose(s.sigma[g], row)
-        sigma_c.append(perm.compose(t_back, row))
-        row = perm.identity(n)
-        for g in letters:
-            row = perm.compose(s.tau[g], row)
-        tau_c.append(row)
+        ell, c = 1, t[x]
+        while c != x:
+            ell, c = ell + 1, t[c]
+        k, r = divmod(m, ell)
+        left, right, c = s.sigma[x], s.tau[x], t[x]  # L_1, R_1 and c_1
+        for j in range(1, min(m, ell)):
+            if j == r:
+                left_r, right_r = left, right
+            left, right = perm.compose(s.sigma[c], left), perm.compose(right, s.tau[c])
+            c = t[c]
+        if k:
+            left, right = perm.power(left, k), perm.power(right, k)
+            if r:
+                left, right = perm.compose(left_r, left), perm.compose(right, right_r)
+        sigma_c.append(perm.compose(t_back, perm.compose(left, t_fwd)))
+        tau_c.append(right)
     return Solution(n, tuple(sigma_c), tuple(tau_c))
 
 

@@ -455,11 +455,10 @@ class FiniteGroup(Frozen):
     def abelian_invariants(self) -> tuple[int, ...]:
         """Invariant factors of the abelianization: the cokernel of the
         relators' exponent matrix, finite and of order dividing the group's."""
-        p = self.presentation
-        free_rank, torsion = _cokernel(_relator_snf(p), p.generator_count)
-        if free_rank or self.order % math.prod(torsion):
+        ab = abelianization(self.presentation)
+        if ab.free_rank or self.order % math.prod(ab.torsion):
             raise InvariantViolation("the presentation does not present this coset action")
-        return torsion
+        return ab.torsion
 
     @property
     def is_abelian(self) -> bool:
@@ -622,13 +621,10 @@ def finite_quotient(
 
 
 @per_input
-def rack_finite_quotient(
-    rk: Rack, variant: str = "right", coset_cap: int = DEFAULT_COSET_CAP
-) -> FiniteGroup:
-    """Finite quotient of a rack's structure group by plain powers x^{D_x}."""
-    if variant not in ("right", "left"):
-        raise ValueError("variant must be 'right' or 'left'")
-    sol = sd_solutions(rk)[0 if variant == "right" else 1]
+def rack_finite_quotient(rk: Rack, coset_cap: int = DEFAULT_COSET_CAP) -> FiniteGroup:
+    """Finite quotient of a rack's structure group by plain powers x^{D_x}.
+    For a quandle, finite_quotient(sd_solutions(rk)[1]) is its left one."""
+    sol = sd_solutions(rk)[0]
     power_relators = tuple(
         tuple((x, 1) for _ in range(_rack_degree(rk.rho(x)))) for x in range(rk.n)
     )

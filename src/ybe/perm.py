@@ -32,17 +32,16 @@ def inverse(p: Sequence[int]) -> Perm:
 
 
 def power(p: Sequence[int], k: int) -> Perm:
-    n = len(p)
     if k < 0:
         return power(inverse(p), -k)
-    result = identity(n)
-    base = tuple(p)
+    result, base = None, tuple(p)
     while k:
         if k & 1:
-            result = compose(base, result)
-        base = compose(base, base)
+            result = base if result is None else compose(base, result)
         k >>= 1
-    return result
+        if k:
+            base = compose(base, base)
+    return identity(len(p)) if result is None else result
 
 
 def order(p: Sequence[int]) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from . import perm
-from .core import Frozen, Solution, invert_solution, is_biquandle, per_input, t_map_of
+from .core import Frozen, Solution, _derived_op, is_biquandle, per_input, t_map_of
 from .errors import BoundExceeded, SignedWordOnNonBiquandle
 
 Word = tuple[tuple[int, int], ...]
@@ -103,11 +103,8 @@ def guitar_inverse(s: Solution, w: Word) -> Word:
 
 @per_input
 def structure_rho(s: Solution) -> tuple[perm.Perm, ...]:
-    """Right translations of the structure rack: rho_y = tau_y o tau^_y^{-1}."""
-    inv = invert_solution(s)
-    return tuple(
-        perm.compose(s.tau[y], perm.inverse(inv.tau[y])) for y in range(s.n)
-    )
+    """rho_y = tau_y o tau^_y^{-1}, the columns of core._derived_op."""
+    return tuple(zip(*_derived_op(s.sigma, s.tau)))
 
 
 def rho_of_word(s: Solution, w: Word) -> perm.Perm:

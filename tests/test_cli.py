@@ -205,6 +205,16 @@ def test_cable_command_roundtrip(capsys, tmp_path):
     assert json.loads(out)["involutive"]
 
 
+def test_cable_of_a_huge_degree_walks_only_the_cycles_of_t(capsys, tmp_path):
+    # an m-letter word per point would need terabytes here
+    code, out, _ = run(capsys, "cable", "solution/twisted-flip2", "-m", "1000000000000")
+    assert code == EXIT_OK
+    path = tmp_path / "cabled.json"
+    path.write_text(out)
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == EXIT_OK and json.loads(out)["valid"]
+
+
 def test_cable_rejects_racks(capsys):
     code, _, err = run(capsys, "cable", "rack/dihedral3", "-m", "2")
     assert code == EXIT_INVALID

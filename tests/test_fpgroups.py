@@ -374,9 +374,8 @@ def test_rack_finite_quotients():
         fg = rack_finite_quotient(rk)
         assert fg.order == order
         assert fg.fingerprint == reference_group(ref).fingerprint
-        assert rack_finite_quotient(rk, "left").order == order
-    with pytest.raises(ValueError):
-        rack_finite_quotient(fixture_rack("rack/trivial3"), "middle")
+        if rk.is_quandle:
+            assert finite_quotient(sd_solutions(rk)[1])[0].order == order
 
 
 def test_rack_quotient_rank_consistency(rack_fixtures):
@@ -546,8 +545,7 @@ def test_quotient_cache_ignores_how_the_cap_is_spelled(monkeypatch):
     assert len(calls) == 1
     rk = fixture_rack("rack/dihedral3")
     first = rack_finite_quotient(rk)
-    assert first == rack_finite_quotient(rk, "right", cap) == rack_finite_quotient(rk, coset_cap=cap)
-    assert first == rack_finite_quotient(rk, variant="right")
+    assert first == rack_finite_quotient(rk, cap) == rack_finite_quotient(rk, coset_cap=cap)
     assert len(calls) == 2
 
 
@@ -640,8 +638,8 @@ def _oracle_solution_quotient(s):
     return actions, tuple(act[0] for act in actions)
 
 
-def _oracle_rack_quotient(rk, variant):
-    sol = sd_solutions(rk)[0 if variant == "right" else 1]
+def _oracle_rack_quotient(rk, side):
+    sol = sd_solutions(rk)[side]
     powers = tuple(word_of(*[x] * _rack_degree(rk.rho(x))) for x in range(rk.n))
     return standardize(hlt_enumeration(
         Presentation(rk.n, structure_presentation(sol).relators + powers)))
@@ -661,9 +659,12 @@ def test_felsch_matches_hlt_on_fixtures_and_censuses(
     racks += [rk for n in range(1, 5) for rk in enumerate_racks(n).representatives]
     assert len(racks) == 7 + 1 + 2 + 6 + 19
     for rk in racks:
-        for variant in ("right", "left"):
-            fg = rack_finite_quotient(rk, variant)
-            assert list(fg.actions) == _oracle_rack_quotient(rk, variant), (rk, variant)
+        assert list(rack_finite_quotient(rk).actions) == _oracle_rack_quotient(rk, 0), rk
+        if rk.is_quandle:
+            # tau = id: the left self-distributive solution, whose twisted
+            # powers are the plain powers x^{D_x}
+            fg, _ = finite_quotient(sd_solutions(rk)[1])
+            assert list(fg.actions) == _oracle_rack_quotient(rk, 1), rk
 
 
 @pytest.mark.parametrize("p, a", [(31, -1), (11, 2), (13, 2), (19, 2), (17, 3), (29, 2)])
@@ -685,12 +686,27 @@ def test_felsch_defines_few_cosets_on_affine_z29(cosets_defined):
     assert len(cosets_defined) <= 2 * 812
 
 
+def test_left_quandle_quotient_has_the_plain_power_presentation(all_fixture_objects):
+    # tau = id and T = id, so d_x = D_x and each twisted power is x^{D_x}
+    from ybe.fpgroups import _quotient_presentation
+
+    quandles = [rk for rk in all_fixture_objects.values() if isinstance(rk, Rack) and rk.is_quandle]
+    quandles += [rk for n in range(1, 6)
+                 for rk in enumerate_racks(n, quandles_only=True, bound=5).representatives]
+    assert len(quandles) == 41
+    for rk in quandles:
+        sol = sd_solutions(rk)[1]
+        powers = tuple(word_of(*[x] * _rack_degree(rk.rho(x))) for x in range(rk.n))
+        assert finite_quotient(sol)[0].presentation == _quotient_presentation(sol, powers), rk
+
+
 def test_left_sd_quotient_drops_relators_by_the_mirror_argument():
     # tau = id: the relators x y = sigma_x(y) x are kept for x in a
     # generating set of the rack y < x = sigma_x(y)
     rk = fixture_rack("rack/12pt-gl23")
     sol = sd_solutions(rk)[1]
-    pres = rack_finite_quotient(rk, "left").presentation
+    fg, _ = finite_quotient(sol)
+    pres = fg.presentation
     assert pres.implied and {w[0][0] for w in pres.relators[:-rk.n]} < set(range(rk.n))
-    assert rack_finite_quotient(rk, "left").order == 48
+    assert fg.order == 48
     assert set(pres.relators + pres.implied) >= set(structure_presentation(sol).relators)

@@ -7,12 +7,15 @@ from itertools import product
 import pytest
 
 from ybe import perm
+from ybe.census import enumerate_solutions
 from ybe.core import (
     Solution,
+    _derived_op,
     _sd_holds,
     _sd_witness,
     _ybe_holds,
     _ybe_witness,
+    invert_solution,
     verify_rack,
     verify_solution,
 )
@@ -62,6 +65,10 @@ def cable_oracle(s, m):
     )
     tau = tuple(tuple(act_right(s, x, powers[y]) for x in range(n)) for y in range(n))
     return sigma, tau
+
+
+def ybe_holds(sigma, tau, n):
+    return _ybe_holds(sigma, tau, _derived_op(sigma, tau), n)
 
 
 def _table(rng, n):
@@ -195,8 +202,11 @@ def test_verify_errors_carry_the_first_witness():
 
 
 def test_cable_matches_the_word_actions(solution_fixtures, census_solutions):
+    # m = k l + r walks l letters and takes powers: every k <= 2 and r < l
+    # occurs for each cycle length l of T
     for s in list(solution_fixtures.values()) + census_solutions:
-        for m in range(1, 5):
+        longest = max(map(len, perm.cycles(structure_racks(s).T)))
+        for m in range(1, max(5, 2 * longest + 2)):
             c = cable(s, m)
             assert (c.sigma, c.tau) == cable_oracle(s, m), (s, m)
 
@@ -259,7 +269,7 @@ def test_ybe_predicate_on_every_census_candidate(n):
     valid = 0
     for sigma in product(perms, repeat=n):
         for tau in product(perms, repeat=n):
-            holds = _ybe_holds(sigma, tau, n)
+            holds = ybe_holds(sigma, tau, n)
             assert holds == (ybe_oracle(sigma, tau, n) is None), (sigma, tau)
             valid += holds
     assert valid > 0
@@ -269,14 +279,14 @@ def test_ybe_predicate_on_every_left_nondegenerate_map_at_n2():
     maps = list(_left_nondegenerate_maps(2))
     assert len(maps) == 64
     for sigma, tau in maps:
-        assert _ybe_holds(sigma, tau, 2) == (ybe_oracle(sigma, tau, 2) is None), (sigma, tau)
+        assert ybe_holds(sigma, tau, 2) == (ybe_oracle(sigma, tau, 2) is None), (sigma, tau)
 
 
 @pytest.mark.slow
 def test_ybe_predicate_on_every_left_nondegenerate_map_at_n3():
     count = 0
     for sigma, tau in _left_nondegenerate_maps(3):
-        assert _ybe_holds(sigma, tau, 3) == (ybe_oracle(sigma, tau, 3) is None), (sigma, tau)
+        assert ybe_holds(sigma, tau, 3) == (ybe_oracle(sigma, tau, 3) is None), (sigma, tau)
         count += 1
     assert count == 6 ** 3 * 3 ** 9 == 4_251_528
 
@@ -287,28 +297,29 @@ def test_ybe_predicate_on_random_left_nondegenerate_maps(n):
     for trial in range(300):
         sigma = _perm_rows(rng, n)
         tau = _perm_rows(rng, n) if trial % 2 else _table(rng, n)
-        assert _ybe_holds(sigma, tau, n) == (ybe_oracle(sigma, tau, n) is None), (sigma, tau)
+        assert ybe_holds(sigma, tau, n) == (ybe_oracle(sigma, tau, n) is None), (sigma, tau)
     for sigma, tau in (_affine_sd(5, 2), _lyubashenko(6)):
         m = len(sigma)
         for bad in _swaps(tau):
-            assert _ybe_holds(sigma, bad, m) == (ybe_oracle(sigma, bad, m) is None), bad
+            assert ybe_holds(sigma, bad, m) == (ybe_oracle(sigma, bad, m) is None), bad
 
 
 def test_predicates_accept_every_fixture(fixture_and_sd_solutions, rack_fixtures):
     for s in fixture_and_sd_solutions:
-        assert _ybe_holds(s.sigma, s.tau, s.n)
+        assert ybe_holds(s.sigma, s.tau, s.n)
     for rk in rack_fixtures.values():
         assert _sd_holds(rk.op, rk.n)
 
 
 def test_derived_operation_is_the_right_structure_rack(fixture_and_sd_solutions):
-    # x < w = sigma_w(tau_{sigma_x^{-1}(w)}(x)), the rack that _ybe_holds checks
-    for s in fixture_and_sd_solutions:
-        inv = [perm.inverse(row) for row in s.sigma]
-        op = tuple(
-            tuple(s.sigma[w][s.tau[inv[x][w]][x]] for w in range(s.n)) for x in range(s.n)
-        )
-        assert op == structure_racks(s).right.op
+    # the paper's right structure rack, x >_r w = tau_w(tau^_w^{-1}(x)), read
+    # from the inverse solution
+    census = enumerate_solutions(4, bound=4).representatives
+    assert len(census) == 253
+    for s in list(fixture_and_sd_solutions) + list(census):
+        tau_hat = invert_solution(s).tau
+        rho = [perm.compose(s.tau[w], perm.inverse(tau_hat[w])) for w in range(s.n)]
+        assert structure_racks(s).right.op == tuple(zip(*rho)), s
 
 
 def test_sd_predicate_matches_the_oracle():
@@ -350,7 +361,7 @@ def test_verify_solution_reports_the_exact_witness_on_large_tables(tables, where
         sigma = _swap(sigma, row, i, j)
     else:
         tau = _swap(tau, row, i, j)
-    assert not _ybe_holds(sigma, tau, n)
+    assert not ybe_holds(sigma, tau, n)
     with pytest.raises(YBEFailure) as err:
         verify_solution(sigma, tau)
     assert err.value.triple == _ybe_witness(sigma, tau, n) is not None

@@ -193,16 +193,14 @@ def test_per_input_spellings_share_one_entry():
     assert sum(key[0] is finite_quotient.__wrapped__ for key in s._memo) == 1
     rk = _fresh_rack()
     fg = rack_finite_quotient(rk)
-    assert rack_finite_quotient(rk, "right") is fg
     assert rack_finite_quotient(rk, coset_cap=DEFAULT_COSET_CAP) is fg
-    assert rack_finite_quotient(rk, variant="right", coset_cap=DEFAULT_COSET_CAP) is fg
-    assert rack_finite_quotient(rk, "right", DEFAULT_COSET_CAP) is fg
+    assert rack_finite_quotient(rk, DEFAULT_COSET_CAP) is fg
     with pytest.raises(TypeError):
         finite_quotient(s, cap=DEFAULT_COSET_CAP)
     with pytest.raises(TypeError):
         finite_quotient(s, DEFAULT_COSET_CAP, coset_cap=DEFAULT_COSET_CAP)
     with pytest.raises(TypeError):
-        rack_finite_quotient(rk, "right", DEFAULT_COSET_CAP, 1)
+        rack_finite_quotient(rk, DEFAULT_COSET_CAP, 1)
 
 
 def test_t_is_computed_once_per_input():
