@@ -36,6 +36,7 @@ EXIT_INVALID = 1
 EXIT_RESOURCE = 2
 EXIT_USAGE = 3
 EXIT_INTERNAL = 4
+EXIT_BROKEN_PIPE = 128 + 13  # as a shell reports a process killed by SIGPIPE
 
 
 class _UsageError(Exception):
@@ -342,6 +343,11 @@ def main(argv=None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed stdout: write nothing more, and point stdout at
+        # devnull so the flush at exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -5,6 +5,12 @@ r(x, y) = (sigma_x(y), tau_y(x)) with sigma[x][y] = sigma_x(y) and
 tau[y][x] = tau_y(x).  A rack is a single table op[x][y] = x > y whose right
 translations are bijections and which is right self-distributive.
 Elements are always 0-based integers.
+
+Every table law reads Soloviev's derived operation x < w (_derived_op),
+built once per Solution: bijectivity of the pair map, the Yang-Baxter
+equation, involutivity and the structure rack.  A rack is validated as its
+self-distributive solution r(x, y) = (y, x > y), whose derived operation
+is the rack itself.
 """
 
 from __future__ import annotations
@@ -179,10 +185,12 @@ class ChainReport(Frozen):
 def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]) -> Solution:
     """Validate the two tables and return a Solution.
 
-    Checks non-degeneracy row by row, bijectivity of the pair map (_derived_op),
+    Checks non-degeneracy row by row, then builds the Solution and reads
+    from its derived operation (_derived_op) the bijectivity of the pair map
     and the Yang-Baxter equation on all n^3 triples: by _ybe_holds when n <=
     BYTE_BOUND, and by the exact scan _ybe_witness, which names the first
-    failing triple, when that fails or n is larger.
+    failing triple, when that fails or n is larger.  The returned object
+    keeps the derived operation, so the structure rack reuses it.
     """
     sigma = _freeze(sigma)
     tau = _freeze(tau)
@@ -195,17 +203,19 @@ def verify_solution(sigma: Sequence[Sequence[int]], tau: Sequence[Sequence[int]]
     for y in range(n):
         if not perm.is_perm(tau[y], n):
             raise DegenerateRow("tau", y)
-    op = _derived_op(sigma, tau)
+    s = Solution(n, sigma, tau)
+    op = _derived_op(s)
     if any(len(set(column)) != n for column in zip(*op)):
         raise NotInvertible("the pair map (x,y) -> (sigma_x(y), tau_y(x)) is not bijective")
     if n > BYTE_BOUND or not _ybe_holds(sigma, tau, op, n):
         witness = _ybe_witness(sigma, tau, n)
         if witness is not None:
             raise YBEFailure(witness)
-    return Solution(n, sigma, tau)
+    return s
 
 
-def _derived_op(sigma: Table, tau: Table) -> list:
+@per_input
+def _derived_op(s: Solution) -> list:
     """Rows of Soloviev's derived operation op[x][w] = x < w =
     sigma_w(tau_{sigma_x^{-1}(w)}(x)), for permutation sigma rows and tau
     entries in range(n); for a solution, its right structure rack.
@@ -215,9 +225,9 @@ def _derived_op(sigma: Table, tau: Table) -> list:
     So r is a bijection exactly when every column x -> x < w is one.  []
     Rows are bytes when n <= BYTE_BOUND, so op takes n^2 bytes.
     """
-    n = len(sigma)
+    sigma, n = s.sigma, s.n
     op = []
-    for sigma_x, col in zip(sigma, zip(*tau)):  # col[y] = tau_y(x)
+    for sigma_x, col in zip(sigma, zip(*s.tau)):  # col[y] = tau_y(x)
         row = [0] * n
         for w, v in zip(sigma_x, col):  # w = sigma_x(y), v = tau_y(x)
             row[w] = sigma[w][v]
@@ -237,7 +247,7 @@ def _ybe_holds(sigma: Table, tau: Table, op: list[bytes], n: int) -> bool:
 
     Every sigma row must be a permutation of range(n), every tau entry must
     lie in range(n), and n <= BYTE_BOUND.  Write r_1 = r x id and
-    r_2 = id x r on X^3, and let op = _derived_op(sigma, tau) hold
+    r_2 = id x r on X^3, and let op = _derived_op(s) hold
       x < w = sigma_w(tau_{sigma_x^{-1}(w)}(x)),  so  x < sigma_x(y) = sigma_a(b)
     with (a, b) = r(x, y).  Then r is a solution exactly when
       (1) sigma_x sigma_y = sigma_{sigma_x(y)} sigma_{tau_y(x)} for all x, y,
@@ -345,16 +355,6 @@ def _ybe_witness(sigma: Table, tau: Table, n: int) -> tuple[int, int, int] | Non
     return None
 
 
-def _is_involutive(sigma, tau, n: int) -> bool:
-    """Whether r(r(x, y)) = (x, y) for all x, y."""
-    for x in range(n):
-        for y in range(n):
-            u, v = sigma[x][y], tau[y][x]
-            if (sigma[u][v], tau[v][u]) != (x, y):
-                return False
-    return True
-
-
 def invert_solution(s: Solution) -> Solution:
     """The inverse braiding r^{-1}(x,y) = (sigma^_x(y), tau^_y(x)).
 
@@ -375,55 +375,29 @@ def invert_solution(s: Solution) -> Solution:
 def verify_rack(op: Sequence[Sequence[int]]) -> Rack:
     """Validate a rack table and return a Rack.
 
-    Self-distributivity is decided by _sd_holds when n <= BYTE_BOUND, and by
-    the exact scan _sd_witness, which names the first failing triple, when
-    that fails or n is larger.
+    A table whose right translations are bijections is a rack exactly when
+    r(x, y) = (y, x > y), with sigma = id and tau_y = rho_y, is a solution:
+    for sigma = id, conditions (1) and (3) of _ybe_holds hold trivially and
+    its derived operation is > itself, so (2) is self-distributivity, which
+    _preserve decides when n <= BYTE_BOUND.  When that fails, or n is
+    larger, the exact scan _ybe_witness(id rows, columns, n) names the first
+    failing triple, which is the first failing triple of self-distributivity:
+    both sides of the braid relation of r map (x, y, z) to (z, y > z, .),
+    with last points (x > y) > z and (x > z) > (y > z).
     """
     op = _freeze(op)
     n = len(op)
     if n == 0 or any(len(row) != n for row in op):
         raise ValueError("op must be a non-empty n x n table")
-    for y, column in enumerate(zip(*op)):
+    columns = tuple(zip(*op))
+    for y, column in enumerate(columns):
         if not perm.is_perm(column, n):
             raise NonBijectiveTranslation(y)
-    if n > BYTE_BOUND or not _sd_holds(op, n):
-        witness = _sd_witness(op, n)
+    if n > BYTE_BOUND or not _preserve(list(map(bytes, op)), list(map(bytes, columns)), n):
+        witness = _ybe_witness((perm.identity(n),) * n, columns, n)
         if witness is not None:
             raise SelfDistributivityFailure(witness)
     return Rack(n, op)
-
-
-def _sd_holds(op: Sequence[Sequence[int]], n: int) -> bool:
-    """Whether op is right self-distributive, for entries in range(n) and
-    n <= BYTE_BOUND: whether every right translation rho_z preserves op,
-    rho_z(x > y) = rho_z(x) > rho_z(y).  Only yes or no, so _sd_witness
-    finds the first failing triple.
-    """
-    rows = [bytes(row) for row in op]
-    flat = b"".join(rows)
-    return _preserve(rows, [flat[z::n] for z in range(n)], n)
-
-
-def _sd_witness(op: Table, n: int) -> tuple[int, int, int] | None:
-    """The lexicographically first (x, y, z) with (x > y) > z != (x > z) > (y > z),
-    or None when op is right self-distributive.
-
-    Entries must lie in range(n).  Uses the translation form
-    rho_z rho_y = rho_{rho_z(y)} rho_z, one pair (y, z) at a time over every
-    x.  A pair that fails is scanned for its first x; the witness is the
-    least (x, y, z) over all failing pairs.
-    """
-    rho = tuple(zip(*op))  # rho[y][x] = x > y
-    after = [itemgetter(*col) for col in rho]  # after[y](p)[x] = p[x > y]
-    best = None
-    for y in range(n):
-        for z in range(n):
-            lhs, rhs = after[y](rho[z]), after[z](rho[rho[z][y]])
-            if lhs != rhs:
-                x = next(x for x in range(n) if lhs[x] != rhs[x])
-                if best is None or x < best[0]:
-                    best = (x, y, z)
-    return best
 
 
 @per_input
@@ -519,12 +493,14 @@ def is_biquandle(s: Solution) -> bool:
 def classify(s: Solution) -> SolutionClass:
     n = s.n
     ident = perm.identity(n)
-    involutive = _is_involutive(s.sigma, s.tau, n)
     bq = is_biquandle(s)
     sd_right = all(s.sigma[x] == ident for x in range(n))
     sd_left = all(s.tau[y] == ident for y in range(n))
     return SolutionClass(
-        involutive=involutive,
+        # r = J^{-1} r' J with r'(x, w) = (w, x < w) (J lemma of _derived_op),
+        # and r'(r'(x, w)) = (x < w, w < (x < w)): r^2 = id iff x < w = x for
+        # all x and w
+        involutive=all(row.count(x) == n for x, row in enumerate(_derived_op(s))),
         biquandle=bq,
         self_distributive_right=sd_right,
         self_distributive_left=sd_left,

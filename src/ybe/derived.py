@@ -15,7 +15,7 @@ from functools import cached_property, lru_cache
 
 from . import perm
 from .core import BYTE_BOUND, Frozen, Rack, Solution, Table, per_input, t_map_of
-from .errors import SizeTooLarge
+from .errors import InvariantViolation, SizeTooLarge
 from .words import structure_rho
 
 ISO_BOUND = 6  # n! relabelings are tried
@@ -70,13 +70,14 @@ def _quotient_tables(
     """Each table's quotient along the classes, numbered 0..k-1 by first
     occurrence, with the class of each point.
 
-    Raises ValueError unless the classes form a congruence of every table.
-    A congruence makes the quotient of a solution a solution, and of a rack
-    a rack, so the quotient tables are not validated again: the projection
-    X -> X/~ carries each row (and the pair map) onto its quotient, so the
-    quotient row is a surjective self-map of a finite set, hence bijective;
-    and the Yang-Baxter and self-distributive identities, holding on X, hold
-    on X/~ through the surjection.
+    Every caller passes classes that a theorem makes a congruence, so a
+    failed check is a bug and raises InvariantViolation.  A congruence
+    makes the quotient of a solution a solution, and of a rack a rack, so
+    the quotient tables are not validated again: the projection X -> X/~
+    carries each row (and the pair map) onto its quotient, so the quotient
+    row is a surjective self-map of a finite set, hence bijective; and the
+    Yang-Baxter and self-distributive identities, holding on X, hold on X/~
+    through the surjection.
     """
     number: dict[Hashable, int] = {}
     reps: list[int] = []
@@ -90,7 +91,7 @@ def _quotient_tables(
         q = tuple(tuple(cls[t[a][b]] for b in reps) for a in reps)
         for x, row in enumerate(t):
             if any(q[cls[x]][cls[y]] != cls[v] for y, v in enumerate(row)):
-                raise ValueError("the classes are not a congruence")
+                raise InvariantViolation("the classes are not a congruence")
         quotients.append(q)
     return quotients, cls
 

@@ -14,7 +14,7 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 from . import perm
-from .core import Frozen, Rack, Solution, is_biquandle, per_input, sd_solutions
+from .core import Frozen, Rack, Solution, is_biquandle, per_input, sd_solutions, solution_orbits
 from .derived import _quotient_solution, induced_biquandle
 from .errors import CosetLimitExceeded, InvariantViolation
 from .words import Word, _rack_degree, degrees, free_reduce
@@ -562,11 +562,13 @@ def _rack_generators(rho: Sequence[perm.Perm]) -> list[int]:
 
 
 def _quotient_presentation(s: Solution, powers: tuple[Word, ...]) -> Presentation:
-    """The structure presentation of s with the relators `powers` added.
+    """The structure presentation of s with the relators `powers` added,
+    powers[y] being the one of generator y.
 
     For a self-distributive s only the relators of the pairs through a
-    generating set S of the structure rack are enumerated; the others
-    follow from them and are kept in `implied`.
+    generating set S of the structure rack, and one power per orbit of that
+    rack, are enumerated; the others follow from them and are kept in
+    `implied`.
 
     sigma = id: the relators read x y = y (x < y), with x < y = tau_y(x)
     the structure rack.  Let R_y be those with second letter y, that is
@@ -587,6 +589,14 @@ def _quotient_presentation(s: Solution, powers: tuple[Word, ...]) -> Presentatio
     So the relators with first letter in a generating set S of that rack
     suffice.  Both arguments only need the group to satisfy the kept
     relators, so `powers` may be added to either side.
+
+    Powers: at every call powers[y] is y^d_y, with d_y a function of rho_y
+    (d_y = D_y, as T = id), where the rack's right translations rho_y are
+    the tau rows or the sigma rows.  As rho_(y<w) = rho_w^-1 rho_y rho_w is
+    conjugate to rho_y, d is constant on each orbit; and z = y < w reads
+    z = w^-1 y w in the group, so z^d = w^-1 y^d w (for tau = id,
+    z = sigma_w(y) = w y w^-1).  So the power of the least point of each
+    orbit implies the others.
     """
     full = structure_presentation(s).relators
     n, ident = s.n, perm.identity(s.n)
@@ -597,7 +607,10 @@ def _quotient_presentation(s: Solution, powers: tuple[Word, ...]) -> Presentatio
     else:
         return Presentation(n, full + powers)
     kept = _pair_relators(s, pairs)
-    return Presentation(n, tuple(kept) + powers, tuple(w for w in full if w not in kept))
+    orbits = solution_orbits(s)  # with sigma = id or tau = id, the rack's orbits
+    implied = [w for w in full if w not in kept]
+    implied += [powers[y] for block in orbits for y in block[1:]]
+    return Presentation(n, (*kept, *(powers[block[0]] for block in orbits)), tuple(implied))
 
 
 @per_input

@@ -122,17 +122,17 @@ def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> Orderabil
 def sd_dichotomy(rk: Rack, coset_cap: int = DEFAULT_COSET_CAP) -> SDVerdict:
     """The dichotomy for structure groups of self-distributive solutions.
 
-    Decided by testing whether x and x > y always become equal in the
-    finite quotient (the induced injective rack is then trivial); in that
-    case the structure group is free abelian and the rack is
-    multipermutation of level at most 2.  Otherwise the group has torsion
-    and is not left-orderable.
+    Decided by biorderability of r(x, y) = (y, x > y): whether x and x > y
+    always become equal in the finite quotient (the induced injective rack
+    is then trivial).  In that case the structure group is free abelian and
+    the rack is multipermutation of level at most 2.  Otherwise the group
+    has torsion and is not left-orderable, and the witness is
+    biorderability's certificate ("separated", x, x > y).
     """
     sol = sd_solutions(rk)[0]
-    # sigma = id and tau_y(x) = x > y: the pairs (x, x > y) in the order x, y
-    pair = _separated(sol, finite_quotient(sol, coset_cap)[1])
-    if pair:
-        return SDVerdict("TORSION_NONABELIAN", ("separated", *pair))
+    bi = biorderability(sol, coset_cap)
+    if not bi.bi_orderable:
+        return SDVerdict("TORSION_NONABELIAN", bi.certificate)
     tower = mp_tower(sol)
     if tower.mp_level is None or tower.mp_level > 2:
         raise InvariantViolation(

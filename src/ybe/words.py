@@ -103,8 +103,8 @@ def guitar_inverse(s: Solution, w: Word) -> Word:
 
 @per_input
 def structure_rho(s: Solution) -> tuple[perm.Perm, ...]:
-    """rho_y = tau_y o tau^_y^{-1}, the columns of core._derived_op."""
-    return tuple(zip(*_derived_op(s.sigma, s.tau)))
+    """rho_y = tau_y o tau^_y^{-1}, the columns of core._derived_op(s)."""
+    return tuple(zip(*_derived_op(s)))
 
 
 def rho_of_word(s: Solution, w: Word) -> perm.Perm:

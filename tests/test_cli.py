@@ -5,6 +5,7 @@ import json
 import pytest
 
 from ybe.cli import (
+    EXIT_BROKEN_PIPE,
     EXIT_INTERNAL,
     EXIT_INVALID,
     EXIT_OK,
@@ -213,6 +214,49 @@ def test_cable_of_a_huge_degree_walks_only_the_cycles_of_t(capsys, tmp_path):
     path.write_text(out)
     code, out, _ = run(capsys, "check", str(path))
     assert code == EXIT_OK and json.loads(out)["valid"]
+
+
+def test_a_closed_pipe_exits_quietly(tmp_path):
+    # as `ybe cable <Z_97 doc> -m 2 | head -c 100`: the reader closes the pipe
+    # long before the cabled document is written
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    p, a = 97, 3
+    tau = [[(a * x + (1 - a) * y) % p for x in range(p)] for y in range(p)]
+    path = tmp_path / "affine97.json"
+    path.write_text(json.dumps({"schema": "ybe-solution/1", "n": p,
+                                "sigma": [list(range(p))] * p, "tau": tau}))
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "ybe.cli", "cable", str(path), "-m", "2"],
+                            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert len(proc.stdout.read(100)) == 100
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == EXIT_BROKEN_PIPE == 141
+    assert err == b""
+
+
+def test_analyze_and_quotient_build_one_derived_operation_per_solution(capsys):
+    # the document's solution keeps the derived operation its validation
+    # built, and the structure rack reads it; a non-biquandle's quotient
+    # also builds one for its induced biquandle, and a rack's quotient none
+    from ybe.core import Rack, _derived_op, is_biquandle, sd_solutions
+    from ybe.fixtures import fixture_object
+
+    for name in fixture_names():
+        obj = fixture_object(name)
+        sol = sd_solutions(obj)[0] if isinstance(obj, Rack) else obj
+        per_solution = 1 if is_biquandle(sol) else 2
+        for command, builds in (("analyze", per_solution),
+                                ("quotient", 0 if isinstance(obj, Rack) else per_solution)):
+            before = _derived_op.cache_info().misses
+            assert run(capsys, command, name)[0] == EXIT_OK
+            assert _derived_op.cache_info().misses - before == builds, (command, name)
 
 
 def test_cable_rejects_racks(capsys):

@@ -27,7 +27,7 @@ from ybe.derived import (
     relabel_rack,
     relabel_solution,
 )
-from ybe.errors import SizeTooLarge
+from ybe.errors import InvariantViolation, SizeTooLarge
 from ybe.fpgroups import induced_injective_solution, is_injective
 from ybe.fixtures import fixture_rack, fixture_solution
 from ybe import perm
@@ -303,10 +303,11 @@ def test_unchecked_constructions_pass_the_checks(
 
 
 def test_quotients_reject_classes_that_are_not_a_congruence():
+    # every caller passes a congruence by theorem, so a failure is internal
     s = fixture_solution("solution/dihedral3-sd")
-    with pytest.raises(ValueError, match="congruence"):
+    with pytest.raises(InvariantViolation, match="congruence"):
         _quotient_solution(s, [0, 0, 1])
-    with pytest.raises(ValueError, match="congruence"):
+    with pytest.raises(InvariantViolation, match="congruence"):
         _quotient_rack(fixture_rack("rack/dihedral3"), [0, 0, 1])
     assert _quotient_solution(s, [5, 5, 5])[0].n == 1
 

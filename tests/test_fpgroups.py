@@ -10,6 +10,7 @@ from ybe import (
     FiniteGroup,
     Presentation,
     Rack,
+    Solution,
     abelianization,
     enumerate_racks,
     finite_quotient,
@@ -30,7 +31,7 @@ from ybe.fpgroups import (
     in_row_lattice,
     smith_invariants,
 )
-from ybe.core import is_biquandle
+from ybe.core import is_biquandle, rack_orbits, solution_orbits
 from ybe.derived import induced_biquandle
 from ybe.words import _rack_degree, degrees, word_of
 
@@ -707,6 +708,61 @@ def test_left_sd_quotient_drops_relators_by_the_mirror_argument():
     sol = sd_solutions(rk)[1]
     fg, _ = finite_quotient(sol)
     pres = fg.presentation
-    assert pres.implied and {w[0][0] for w in pres.relators[:-rk.n]} < set(range(rk.n))
+    powers = len(rack_orbits(rk))  # one power relator per orbit ends the relators
+    assert pres.implied and {w[0][0] for w in pres.relators[:-powers]} < set(range(rk.n))
     assert fg.order == 48
     assert set(pres.relators + pres.implied) >= set(structure_presentation(sol).relators)
+
+
+def _sd_quotient_inputs(all_fixture_objects, racks4, solutions3):
+    """Every rack class with n <= 4 and rack fixture, and every solution
+    fixture and three-point solution class."""
+    racks = [rk for rk in all_fixture_objects.values() if isinstance(rk, Rack)]
+    racks += [rk for n in (1, 2, 3) for rk in enumerate_racks(n).representatives]
+    racks += racks4.representatives
+    solutions = [s for s in all_fixture_objects.values() if isinstance(s, Solution)]
+    solutions += [s for rk in racks for s in sd_solutions(rk)] + list(solutions3.representatives)
+    return racks, solutions
+
+
+def test_power_degrees_are_constant_on_rack_orbits(all_fixture_objects, racks4, solutions3):
+    # rho_(y<w) = rho_w^-1 rho_y rho_w, so a degree read from rho_y is
+    # constant on each orbit of the rack
+    racks, solutions = _sd_quotient_inputs(all_fixture_objects, racks4, solutions3)
+    for rk in racks:
+        D = [_rack_degree(rk.rho(x)) for x in range(rk.n)]
+        assert all(len({D[x] for x in block}) == 1 for block in rack_orbits(rk)), rk
+        # the orbits of either self-distributive solution are the rack's
+        assert [solution_orbits(s) for s in sd_solutions(rk)] == [rack_orbits(rk)] * 2
+    sd = 0
+    for s in solutions:
+        ident = tuple(range(s.n))
+        if is_biquandle(s) and (set(s.sigma) == {ident} or set(s.tau) == {ident}):
+            d, powers = degrees(s).d, degrees(s).twisted_powers
+            assert all(len({d[x] for x in block}) == 1 for block in solution_orbits(s)), s
+            assert powers == tuple(word_of(*[x] * d[x]) for x in range(s.n)), s
+            sd += 1
+    assert sd > 40
+
+
+def test_one_power_per_orbit_gives_the_quotient_of_all_powers(
+    all_fixture_objects, racks4, solutions3
+):
+    # the quotient presentations enumerate one power relator per orbit and
+    # keep the others in implied; enumerating all of them gives the same action
+    racks, solutions = _sd_quotient_inputs(all_fixture_objects, racks4, solutions3)
+    cut = 0
+    for rk in racks:
+        sol = sd_solutions(rk)[0]
+        powers = tuple(word_of(*[x] * _rack_degree(rk.rho(x))) for x in range(rk.n))
+        full = Presentation(rk.n, structure_presentation(sol).relators + powers)
+        fg = rack_finite_quotient(rk)
+        assert list(fg.actions) == coset_enumeration(full), rk
+        kept = [w for w in fg.presentation.relators if w in powers]
+        assert [w[0][0] for w in kept] == [block[0] for block in rack_orbits(rk)], rk
+        cut += len(kept) < rk.n
+    for s in solutions:
+        bq = s if is_biquandle(s) else induced_biquandle(s)[0]
+        full = Presentation(bq.n, structure_presentation(bq).relators + degrees(bq).twisted_powers)
+        assert list(finite_quotient(bq)[0].actions) == coset_enumeration(full), s
+    assert cut > 0

@@ -11,8 +11,7 @@ from ybe.census import enumerate_solutions
 from ybe.core import (
     Solution,
     _derived_op,
-    _sd_holds,
-    _sd_witness,
+    _preserve,
     _ybe_holds,
     _ybe_witness,
     invert_solution,
@@ -68,7 +67,29 @@ def cable_oracle(s, m):
 
 
 def ybe_holds(sigma, tau, n):
-    return _ybe_holds(sigma, tau, _derived_op(sigma, tau), n)
+    return _ybe_holds(sigma, tau, _derived_op(Solution(n, sigma, tau)), n)
+
+
+def sd_witness(op, n):
+    """The first failing triple of the braid relation of r(x, y) = (y, x > y),
+    the scan verify_rack names; for any table with entries in range(n) it is
+    the first failing triple of self-distributivity."""
+    return _ybe_witness((tuple(range(n)),) * n, tuple(zip(*op)), n)
+
+
+def sd_holds(op, n):
+    """Whether every right translation preserves op, as verify_rack asks it."""
+    return _preserve(list(map(bytes, op)), list(map(bytes, zip(*op))), n)
+
+
+def rack_triple(op):
+    """verify_rack's witness for a table whose columns are permutations, or
+    None when it is a rack."""
+    try:
+        verify_rack(op)
+    except SelfDistributivityFailure as err:
+        return err.triple
+    return None
 
 
 def _table(rng, n):
@@ -109,7 +130,7 @@ def _swaps(table):
                 yield tuple(map(tuple, rows))
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_kernels_match_oracles_on_random_tables(n):
     rng = random.Random(1000 + n)
     failing = 0
@@ -119,7 +140,10 @@ def test_kernels_match_oracles_on_random_tables(n):
         sigma, tau, op = make(rng, n), make(rng, n), make(rng, n)
         witness = ybe_oracle(sigma, tau, n)
         assert _ybe_witness(sigma, tau, n) == witness, (sigma, tau)
-        assert _sd_witness(op, n) == sd_oracle(op, n), op
+        assert sd_witness(op, n) == sd_oracle(op, n), op
+        if trial % 2 == 0:  # columns that are permutations
+            columns = tuple(zip(*op))
+            assert rack_triple(columns) == sd_oracle(columns, n), columns
         failing += witness is not None
     if n > 1:
         assert failing > 150
@@ -129,7 +153,7 @@ def test_kernels_accept_every_fixture(solution_fixtures, rack_fixtures):
     for s in solution_fixtures.values():
         assert _ybe_witness(s.sigma, s.tau, s.n) is None
     for rk in rack_fixtures.values():
-        assert _sd_witness(rk.op, rk.n) is None
+        assert sd_witness(rk.op, rk.n) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -149,15 +173,16 @@ def test_sd_kernel_on_the_rack_census(racks4):
         perms = perm.all_perms(n)
         for cols in product(perms, repeat=n):
             op = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
-            assert _sd_witness(op, n) == sd_oracle(op, n)
+            assert sd_witness(op, n) == rack_triple(op) == sd_oracle(op, n)
     for rk in racks4.representatives:
-        assert _sd_witness(rk.op, 4) is None
+        assert sd_witness(rk.op, 4) is None
+        assert rack_triple(rk.op) is None
     rng = random.Random(4)
     perms = perm.all_perms(4)
     for _ in range(2000):
         cols = [rng.choice(perms) for _ in range(4)]
         op = tuple(tuple(cols[y][x] for y in range(4)) for x in range(4))
-        assert _sd_witness(op, 4) == sd_oracle(op, 4)
+        assert sd_witness(op, 4) == rack_triple(op) == sd_oracle(op, 4)
 
 
 @pytest.mark.parametrize("tables", [_affine_sd(5, 2), _affine_sd(7, 3), _lyubashenko(5)])
@@ -182,9 +207,9 @@ def test_sd_kernel_on_single_swap_corruptions(p, a):
     columns = tuple(zip(*op))
     for bad_columns in _swaps(columns):
         bad = tuple(zip(*bad_columns))
-        assert _sd_witness(bad, p) == sd_oracle(bad, p)
-    for bad in _swaps(op):
-        assert _sd_witness(bad, p) == sd_oracle(bad, p)
+        assert sd_witness(bad, p) == rack_triple(bad) == sd_oracle(bad, p)
+    for bad in _swaps(op):  # columns that are no longer permutations
+        assert sd_witness(bad, p) == sd_oracle(bad, p)
 
 
 def test_verify_errors_carry_the_first_witness():
@@ -245,7 +270,7 @@ def test_cable_validates_nothing(monkeypatch):
             return real(*args)
         return wrapper
 
-    for name in ("_ybe_witness", "_sd_witness"):
+    for name in ("_ybe_witness", "_ybe_holds", "_preserve"):
         monkeypatch.setattr(core, name, counting(name, getattr(core, name)))
     sigma, tau = _affine_sd(13, 3)
     c = cable(Solution(13, sigma, tau), 2)
@@ -308,7 +333,7 @@ def test_predicates_accept_every_fixture(fixture_and_sd_solutions, rack_fixtures
     for s in fixture_and_sd_solutions:
         assert ybe_holds(s.sigma, s.tau, s.n)
     for rk in rack_fixtures.values():
-        assert _sd_holds(rk.op, rk.n)
+        assert sd_holds(rk.op, rk.n)
 
 
 def test_derived_operation_is_the_right_structure_rack(fixture_and_sd_solutions):
@@ -327,15 +352,15 @@ def test_sd_predicate_matches_the_oracle():
         perms = perm.all_perms(n)
         for cols in product(perms, repeat=n):
             op = tuple(tuple(cols[y][x] for y in range(n)) for x in range(n))
-            assert _sd_holds(op, n) == (sd_oracle(op, n) is None), op
+            assert sd_holds(op, n) == (sd_oracle(op, n) is None), op
     rng = random.Random(6)
     for n in range(1, 7):
         for _ in range(300):
             op = _table(rng, n)
-            assert _sd_holds(op, n) == (sd_oracle(op, n) is None), op
+            assert sd_holds(op, n) == (sd_oracle(op, n) is None), op
     for p, a in [(5, 2), (7, 3)]:
         for bad in _swaps(_affine_rack(p, a)):
-            assert _sd_holds(bad, p) == (sd_oracle(bad, p) is None), bad
+            assert sd_holds(bad, p) == (sd_oracle(bad, p) is None), bad
 
 
 def _swap(table, row, i, j):
@@ -368,26 +393,32 @@ def test_verify_solution_reports_the_exact_witness_on_large_tables(tables, where
 
 
 def test_verify_rack_reports_the_exact_witness_on_a_large_table():
-    p = 127
-    columns = tuple(zip(*_affine_rack(p, 3)))
-    rng = random.Random(p)
-    for _ in range(2):
-        i, j = rng.sample(range(p), 2)
-        bad = tuple(zip(*_swap(columns, rng.randrange(p), i, j)))
-        assert not _sd_holds(bad, p)
-        with pytest.raises(SelfDistributivityFailure) as err:
-            verify_rack(bad)
-        assert err.value.triple == _sd_witness(bad, p) is not None
+    # above BYTE_BOUND = 256 the braid relation scan alone decides
+    for p in (127, 263):
+        columns = tuple(zip(*_affine_rack(p, 3)))
+        rng = random.Random(p)
+        for _ in range(2):
+            i, j = rng.sample(range(p), 2)
+            bad = tuple(zip(*_swap(columns, rng.randrange(p), i, j)))
+            if p <= 256:
+                assert not sd_holds(bad, p)
+            with pytest.raises(SelfDistributivityFailure) as err:
+                verify_rack(bad)
+            assert err.value.triple == sd_witness(bad, p) == sd_oracle(bad, p) is not None
 
 
-def test_verify_accepts_a_256_point_table_without_the_exact_scan(monkeypatch):
+def test_verify_accepts_a_256_point_table_without_the_exact_scan(
+    monkeypatch, rack_fixtures, racks4
+):
     from ybe import core
 
     def refuse(*args):
         raise AssertionError("the exact scan ran on a valid table")
 
     monkeypatch.setattr(core, "_ybe_witness", refuse)
-    monkeypatch.setattr(core, "_sd_witness", refuse)
     sigma, tau = _lyubashenko(256)
     assert verify_solution(sigma, tau).n == 256
     assert verify_rack(_affine_rack(251, 3)).n == 251
+    # racks that are not left distributive too, such as conjugation quandles
+    for rk in list(rack_fixtures.values()) + list(racks4.representatives):
+        assert verify_rack(rk.op) == rk

@@ -8,7 +8,7 @@ from itertools import chain, product
 import pytest
 
 from ybe import perm
-from ybe.core import _derived_op
+from ybe.core import Solution, _derived_op
 
 
 def pair_bijective_oracle(sigma, tau, n):
@@ -17,7 +17,7 @@ def pair_bijective_oracle(sigma, tau, n):
 
 
 def _both(sigma, tau, n):
-    got = all(len(set(column)) == n for column in zip(*_derived_op(sigma, tau)))
+    got = all(len(set(column)) == n for column in zip(*_derived_op(Solution(n, sigma, tau))))
     assert got == pair_bijective_oracle(sigma, tau, n)
     return got
 

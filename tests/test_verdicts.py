@@ -352,8 +352,7 @@ def test_analyze_computes_each_derived_object_once(monkeypatch):
     n = 8
     shift = [(v + 1) % n for v in range(n)]
     s = verify_solution([shift] * n, [shift] * n)  # r(x, y) = (y + 1, x + 1)
-    for module, name in ((fpgroups, "_snf_diagonalize"), (core, "_ybe_witness"),
-                         (core, "_sd_witness")):
+    for module, name in ((fpgroups, "_snf_diagonalize"), (core, "_ybe_witness")):
         monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     report = analyze(s)
     assert report.quotient_order == 4
@@ -366,7 +365,6 @@ def test_analyze_computes_each_derived_object_once(monkeypatch):
     assert structure in snf_matrices
     # the inverse, the structure rack, the induced biquandle and the
     # retraction are valid by construction and are not validated again
-    assert calls["_sd_witness"] == 0
     assert calls["_ybe_witness"] == 0
 
 
