@@ -16,7 +16,7 @@ from functools import cached_property, lru_cache
 from . import perm
 from .core import BYTE_BOUND, Frozen, Rack, Solution, Table, per_input, t_map_of
 from .errors import InvariantViolation, SizeTooLarge
-from .words import structure_rho
+from .words import _twisted_actions, structure_rho
 
 ISO_BOUND = 6  # n! relabelings are tried
 
@@ -159,37 +159,17 @@ def cable(s: Solution, m: int) -> Solution:
     So every row is a permutation, and r^[m] is the m-cabled braiding on
     X^m restricted to the twisted diagonal x -> x^[m]; it is a solution and
     is not validated again.
-
-    The letters w_m, w_{m-1}, ... are c_j = T^j(x), of period l, the length
-    of x's cycle under T.  With L_k = sigma_{c_{k-1}} ... sigma_{c_0} and
-    R_k = tau_{c_0} ... tau_{c_{k-1}}, m = k l + r gives L_r L_l^k and
-    R_l^k R_r, so at most min(m, l) letters are walked.
     """
     if m < 1:
         raise ValueError("m must be a positive integer")
-    n = s.n
-    t = t_map_of(s)
-    t_fwd = perm.power(t, m - 1)
+    t_fwd = perm.power(t_map_of(s), m - 1)
     t_back = perm.inverse(t_fwd)
     sigma_c, tau_c = [], []
-    for x in range(n):
-        ell, c = 1, t[x]
-        while c != x:
-            ell, c = ell + 1, t[c]
-        k, r = divmod(m, ell)
-        left, right, c = s.sigma[x], s.tau[x], t[x]  # L_1, R_1 and c_1
-        for j in range(1, min(m, ell)):
-            if j == r:
-                left_r, right_r = left, right
-            left, right = perm.compose(s.sigma[c], left), perm.compose(right, s.tau[c])
-            c = t[c]
-        if k:
-            left, right = perm.power(left, k), perm.power(right, k)
-            if r:
-                left, right = perm.compose(left_r, left), perm.compose(right, right_r)
+    for x in range(s.n):
+        left, right = _twisted_actions(s, x, m)(m)
         sigma_c.append(perm.compose(t_back, perm.compose(left, t_fwd)))
         tau_c.append(right)
-    return Solution(n, tuple(sigma_c), tuple(tau_c))
+    return Solution(s.n, tuple(sigma_c), tuple(tau_c))
 
 
 def _tables(obj: Solution | Rack) -> tuple[Table, ...]:

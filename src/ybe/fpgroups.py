@@ -187,7 +187,6 @@ def _word_to_symbols(w: Word) -> list[int]:
     return [2 * g if e > 0 else 2 * g + 1 for g, e in w]
 
 
-@per_input
 def _relator_cycles(p: Presentation) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
     """For each symbol x, the distinct cyclic conjugates w = x u that begin
     with x of the relators and their inverses, each relator cyclically

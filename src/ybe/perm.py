@@ -21,7 +21,7 @@ def identity(n: int) -> Perm:
 
 def compose(p: Sequence[int], q: Sequence[int]) -> Perm:
     """(p o q)(i) = p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(q)))
+    return tuple([p[i] for i in q])
 
 
 def inverse(p: Sequence[int]) -> Perm:

@@ -8,6 +8,7 @@ from .core import (
     Rack,
     Solution,
     classify,
+    per_input,
     rack_orbits,
     sd_solutions,
     solution_orbits,
@@ -83,6 +84,7 @@ def _separated(s: Solution, iota: tuple[int, ...]) -> tuple[int, int] | None:
     return None
 
 
+@per_input
 def biorderability(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> OrderabilityVerdict:
     """Whether the structure group G is bi-orderable, i.e. free abelian.
 

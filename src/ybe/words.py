@@ -131,6 +131,35 @@ def twisted_power(s: Solution, y: int, d: int) -> Word:
     return tuple(reversed(letters))
 
 
+def _twisted_actions(s: Solution, y: int, most: int):
+    """d -> (L_d, R_d), the left and right actions on X of y^[d].
+
+    The letters of y^[d], right to left, are c_j = T^j(y), of period l, the
+    length of y's cycle under T.  So L_k = sigma_{c_{k-1}} ... sigma_{c_0}
+    and R_k = tau_{c_0} ... tau_{c_{k-1}}, and d = k l + r gives L_r L_l^k
+    and R_l^k R_r.  At most min(most, l) letters are walked, so an answer is
+    valid for d <= most, and for every d once most >= l.
+    """
+    t = t_map_of(s)
+    lefts, rights, c = [s.sigma[y]], [s.tau[y]], t[y]  # lefts[j] is L_{j+1}; c is c_1
+    while c != y and len(lefts) < most:
+        lefts.append(perm.compose(s.sigma[c], lefts[-1]))
+        rights.append(perm.compose(rights[-1], s.tau[c]))
+        c = t[c]
+    ell = len(lefts)  # l when the walk closed y's cycle, as a valid d > ell needs
+
+    def at(d: int) -> tuple[perm.Perm, perm.Perm]:
+        if d <= ell:
+            return lefts[d - 1], rights[d - 1]
+        k, r = divmod(d, ell)
+        left, right = perm.power(lefts[-1], k), perm.power(rights[-1], k)
+        if r:
+            left, right = perm.compose(lefts[r - 1], left), perm.compose(right, rights[r - 1])
+        return left, right
+
+    return at
+
+
 class DegreeTable(Frozen):
     d: tuple[int, ...]
     D: tuple[int, ...]
@@ -139,8 +168,7 @@ class DegreeTable(Frozen):
 
 def _rack_degree(rho_y: perm.Perm) -> int:
     """Minimal D >= 2 with rho_y^D = identity."""
-    o = perm.order(rho_y)
-    return o if o >= 2 else 2
+    return max(2, perm.order(rho_y))
 
 
 @per_input
@@ -151,28 +179,19 @@ def degrees(s: Solution) -> DegreeTable:
     identity, (2) rho_y^d is the identity, and (3) the twisted power y^[d]
     acts trivially on X from both sides.  The search is capped by the
     provable bound lcm(2, ord(rho_y), p * lcm(q, q')) where p is the order
-    of T and q, q' the orders of the two actions of y^[p].
+    of T and q, q' the orders of the two actions of y^[p].  The actions of
+    y^[d] are _twisted_actions(s, y, p)(d): p is at least y's T-cycle length.
     """
-    n = s.n
-    rho = structure_rho(s)
-    t = t_map_of(s)
-    p = perm.order(t)
-    d_list, D_list, tp_list = [], [], []
-    for y in range(n):
-        D_y = _rack_degree(rho[y])
-        D_list.append(D_y)
-        w_p = twisted_power(s, y, p)
-        q = perm.order(tuple(act_right(s, x, w_p) for x in range(n)))
-        q2 = perm.order(tuple(act_left(s, w_p, x) for x in range(n)))
-        bound = math.lcm(2, D_y, p * math.lcm(q, q2))
-        # d must be a multiple of ord(rho_y), and even when rho_y = id: a
-        # multiple of D_y
-        for d in range(D_y, bound + 1, D_y):
-            w = twisted_power(s, y, d)
-            if all(act_right(s, x, w) == x and act_left(s, w, x) == x for x in range(n)):
-                d_list.append(d)
-                tp_list.append(w)
-                break
-        else:
+    D = tuple(_rack_degree(rho_y) for rho_y in structure_rho(s))
+    p = perm.order(t_map_of(s))
+    trivial = (perm.identity(s.n),) * 2
+    d_list = []
+    for y, D_y in enumerate(D):
+        at = _twisted_actions(s, y, p)
+        bound = math.lcm(2, D_y, p * math.lcm(*map(perm.order, at(p))))
+        # d is a multiple of D_y: of ord(rho_y), and even when rho_y = id
+        d = next((d for d in range(D_y, bound + 1, D_y) if at(d) == trivial), None)
+        if d is None:
             raise BoundExceeded(f"no degree found for element {y} up to {bound}")
-    return DegreeTable(tuple(d_list), tuple(D_list), tuple(tp_list))
+        d_list.append(d)
+    return DegreeTable(tuple(d_list), D, tuple(twisted_power(s, y, d) for y, d in enumerate(d_list)))

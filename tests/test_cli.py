@@ -259,6 +259,22 @@ def test_analyze_and_quotient_build_one_derived_operation_per_solution(capsys):
             assert _derived_op.cache_info().misses - before == builds, (command, name)
 
 
+def test_analyze_of_a_rack_decides_biorderability_once(capsys, monkeypatch):
+    # analyze and sd_dichotomy read one verdict of the rack's SD solution
+    from ybe import verdicts
+
+    calls = []
+    real = verdicts._separated
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(verdicts, "_separated", counting)
+    assert run(capsys, "analyze", "--json", "rack/12pt-gl23")[0] == EXIT_OK
+    assert len(calls) == 1
+
+
 def test_cable_rejects_racks(capsys):
     code, _, err = run(capsys, "cable", "rack/dihedral3", "-m", "2")
     assert code == EXIT_INVALID

@@ -20,7 +20,7 @@ from ybe.core import (
 )
 from ybe.derived import cable, structure_racks
 from ybe.errors import SelfDistributivityFailure, YBEFailure
-from ybe.words import act_left, act_right, twisted_power
+from ybe.words import act_left, act_right, degrees, twisted_power
 
 
 def ybe_oracle(sigma, tau, n):
@@ -236,7 +236,9 @@ def test_cable_matches_the_word_actions(solution_fixtures, census_solutions):
             assert (c.sigma, c.tau) == cable_oracle(s, m), (s, m)
 
 
-def test_cable_makes_no_word_action_calls(monkeypatch):
+@pytest.mark.parametrize("derive", [lambda s: cable(s, 2).n, lambda s: len(degrees(s).d)],
+                         ids=["cable", "degrees"])
+def test_cable_makes_no_word_action_calls(monkeypatch, derive):
     from ybe import derived, words
 
     calls = []
@@ -251,9 +253,7 @@ def test_cable_makes_no_word_action_calls(monkeypatch):
         monkeypatch.setattr(module, "act_left", counting(words.act_left), raising=False)
         monkeypatch.setattr(module, "act_right", counting(words.act_right), raising=False)
     sigma, tau = _affine_sd(97, 3)
-    s = Solution(97, sigma, tau)
-    c = cable(s, 2)
-    assert c.n == 97
+    assert derive(Solution(97, sigma, tau)) == 97
     assert len(calls) == 0
 
 

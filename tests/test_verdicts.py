@@ -16,7 +16,7 @@ from ybe import (
     verify_rack,
     verify_solution,
 )
-from ybe.core import rack_orbits, solution_orbits
+from ybe.core import Solution, rack_orbits, solution_orbits
 from ybe.derived import structure_racks
 from ybe.errors import CosetLimitExceeded, NotInvolutive
 from ybe.fixtures import fixture_rack, fixture_solution
@@ -197,7 +197,7 @@ def test_biorderability_checks_the_old_criterion_with_a_typed_error(monkeypatch)
     assert biorderability(sol).bi_orderable
     monkeypatch.setattr(verdicts, "abelianization", lambda p: AbelianInvariants(2, (2,)))
     with pytest.raises(InvariantViolation, match="constant on orbits"):
-        biorderability(sol)
+        biorderability(Solution(sol.n, sol.sigma, sol.tau))
 
 
 def test_sd_dichotomy_agrees_with_biorderability(rack_fixtures):

@@ -8,6 +8,7 @@ from ybe import (
     act_left,
     act_right,
     degrees,
+    enumerate_solutions,
     guitar,
     guitar_inverse,
     rho_of_word,
@@ -19,7 +20,7 @@ from ybe import (
 from ybe.core import Solution, classify, t_map_of
 from ybe.errors import SignedWordOnNonBiquandle
 from ybe.fixtures import fixture_solution
-from ybe.words import free_reduce, structure_rho
+from ybe.words import _twisted_actions, free_reduce, structure_rho
 from ybe import perm
 
 
@@ -263,6 +264,44 @@ def _degree_oracle(s, y):
         d += 1
 
 
+def _lyubashenko(n):
+    """r(x, y) = (y + 1, x + 1) mod n; T is an n-cycle."""
+    shift = tuple((v + 1) % n for v in range(n))
+    return Solution(n, (shift,) * n, (shift,) * n)
+
+
+def _product(a, b):
+    """The direct product solution on X x Y, (x, u) numbered x * |Y| + u."""
+    pairs = [(x, u) for x in range(a.n) for u in range(b.n)]
+
+    def rows(ta, tb):
+        return tuple(tuple(ta[x][y] * b.n + tb[u][v] for y, v in pairs) for x, u in pairs)
+
+    return Solution(len(pairs), rows(a.sigma, b.sigma), rows(a.tau, b.tau))
+
+
 def test_degrees_match_a_plain_scan(fixture_and_sd_solutions, census_solutions):
-    for s in list(fixture_and_sd_solutions) + list(census_solutions):
+    # T is an n-cycle on the Lyubashenko solutions; on the product, T-cycles
+    # of length 6 pass through letters with different rows
+    long_cycles = [_lyubashenko(n) for n in (5, 8)]
+    long_cycles.append(_product(_lyubashenko(3), fixture_solution("solution/4pt-irretractable")))
+    for s in list(fixture_and_sd_solutions) + list(census_solutions) + long_cycles:
         assert degrees(s).d == tuple(_degree_oracle(s, y) for y in range(s.n)), s
+
+
+def test_twisted_actions_match_the_word_actions(solution_fixtures, census_solutions):
+    # d = k l + r for every k <= 2 and r < l, read with most = d (only the
+    # letters of y^[d] walked) and with most = ord T (y's whole T-cycle)
+    solutions = list(solution_fixtures.values()) + list(census_solutions)
+    solutions += enumerate_solutions(4, bound=4).representatives
+    for s in solutions:
+        t = t_map_of(s)
+        p = perm.order(t)
+        for y in range(s.n):
+            ell = len(next(c for c in perm.cycles(t) if y in c))
+            for d in range(1, 2 * ell + 3):
+                w = twisted_power(s, y, d)
+                actions = (tuple(act_left(s, w, x) for x in range(s.n)),
+                           tuple(act_right(s, x, w) for x in range(s.n)))
+                for most in (d, p):
+                    assert _twisted_actions(s, y, most)(d) == actions, (s, y, d, most)
