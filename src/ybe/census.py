@@ -70,8 +70,8 @@ def _labeled_racks(n: int, quandles_only: bool, perms, inv, comp,
     column k no freedom: if rho_z(k) = t < k for some z < k, then
     rho_k = rho_z^{-1} rho_t rho_z, and if rho_z(y) = k for some y, z < k,
     then rho_k = rho_z rho_y rho_z^{-1}.  Such a forced column is the only
-    candidate; it still passes the full check of column k, and for quandles
-    it must fix k.
+    candidate; it still passes the full check of column k.  For quandles it
+    fixes k, as g^{-1} rho_t g fixes g^{-1}(t) and each earlier rho_t fixes t.
     """
     if quandles_only:
         free = [[i for i, p in enumerate(perms) if p[k] == k] for k in range(n)]
@@ -114,8 +114,6 @@ def _labeled_racks(n: int, quandles_only: bool, perms, inv, comp,
         only = forced(k)
         if only is None:
             choices = free[k]
-        elif quandles_only and perms[only][k] != k:
-            return
         else:
             choices = (only,)
         for choice in choices:

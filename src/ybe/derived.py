@@ -14,7 +14,7 @@ from collections.abc import Hashable, Sequence
 from functools import cached_property, lru_cache
 
 from . import perm
-from .core import BYTE_BOUND, Frozen, Rack, Solution, Table, per_input, t_map_of
+from .core import BYTE_BOUND, Frozen, Rack, Solution, Table, _derived_op, per_input, t_map_of
 from .errors import InvariantViolation, SizeTooLarge
 from .words import _twisted_actions, structure_rho
 
@@ -33,8 +33,8 @@ class StructureRackPair(Frozen, hide=("solution",)):
     def left(self) -> Table:
         """left[y][x] = y <_r x = sigma_y(sigma^_y^-1(x)) = sigma_y(tau_w(x)),
         w = sigma_x^-1(y), as r(x, w) = (y, tau_w(x)): x < y of
-        core._derived_op, which is x >_r y, so left is right.op transposed."""
-        return tuple(zip(*self.right.op))
+        core._derived_op, which is x >_r y, so left is structure_rho."""
+        return structure_rho(self.solution)
 
     @cached_property
     def T(self) -> perm.Perm:
@@ -55,7 +55,7 @@ def structure_racks(s: Solution) -> StructureRackPair:
     Sq(x) = x >_r x = x <_r x.  The right rack is core._derived_op (J lemma
     there); it is a rack, so its table is not checked again.
     """
-    right = Rack(s.n, tuple(zip(*structure_rho(s))))
+    right = Rack(s.n, tuple(map(tuple, _derived_op(s))))
     return StructureRackPair(right, sq_map(right), s)
 
 
@@ -108,9 +108,9 @@ def _quotient_rack(rk: Rack, class_of: Sequence[Hashable]) -> tuple[Rack, tuple[
 
 def _orbit_classes(p: perm.Perm) -> list[int]:
     class_of = [0] * len(p)
-    for i, cyc in enumerate(perm.cycles(p)):
+    for cyc in perm.cycles(p):
         for x in cyc:
-            class_of[x] = i
+            class_of[x] = cyc[0]
     return class_of
 
 

@@ -52,7 +52,8 @@ def _neg3(x: int) -> int:
     return (-x) % 3
 
 
-def _catalog() -> dict[str, dict]:
+@lru_cache(maxsize=None)
+def catalog() -> dict[str, dict]:
     docs: list[dict] = []
 
     # the three quandles on three points and their right SD solutions
@@ -186,11 +187,6 @@ def _sd_doc(rack_doc: dict) -> dict:
         "name": rack_doc["name"].replace("rack/", "solution/", 1) + "-sd",
         "labels": rack_doc["labels"],
     }
-
-
-@lru_cache(maxsize=None)
-def catalog() -> dict[str, dict]:
-    return _catalog()
 
 
 def fixture_names() -> list[str]:

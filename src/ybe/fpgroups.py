@@ -64,17 +64,18 @@ def structure_presentation(s: Solution) -> Presentation:
 
 
 def _snf_diagonalize(mat: list[list[int]], ncols: int) -> list[int]:
-    """The diagonal entries of U A V for unimodular U, V, found by row and
-    column operations on A.
-
-    The diagonal is positive but not yet a divisibility chain.  Duplicate
-    and zero rows are dropped first; they change neither the row lattice nor
-    the cokernel.
+    """The invariant factors d1 | d2 | ... of A: the positive diagonal of
+    U A V for unimodular U, V, found by row and column operations on A.
+    Duplicate and zero rows are dropped first; they change neither the row
+    lattice nor the cokernel.
 
     Each round moves an entry p of least |value| in the working block to
-    (r, r) and divides it into its column, then into its row.  A nonzero
-    remainder is smaller than |p| and starts the next round, so the rounds
-    end.  Once the column is clear, the column operations change only row r.
+    (r, r) and divides it into its column, then into its row; once the
+    column is clear, the column operations change only row r.  If |p| > 1
+    fails to divide an entry left in the block, that entry's row is added
+    to row r, by then p e_r.  A nonzero remainder is smaller than |p| and
+    starts the next round, so the rounds end.  A finished round leaves only
+    multiples of p in the block, so every later pivot is one: d_i | d_(i+1).
     """
     a = [list(row) for row in dict.fromkeys(map(tuple, mat)) if any(row)]
     m = len(a)
@@ -112,28 +113,14 @@ def _snf_diagonalize(mat: list[list[int]], ncols: int) -> list[int]:
             top[j] %= p
         if any(top[r + 1:]):
             continue
+        if abs(p) > 1:
+            bad = next((row for row in a[r + 1:] if any(x % p for x in row[r + 1:])), None)
+            if bad is not None:
+                top[r + 1:] = bad[r + 1:]
+                continue
         diag.append(abs(p))
         r += 1
     return diag
-
-
-def _divisibility_chain(diag: list[int]) -> list[int]:
-    """Turn a diagonal into invariant factors d1 | d2 | ..., one gcd/lcm
-    pass over the pairs (i, j > i).
-
-    Replacing (d_i, d_j) by (gcd, lcm) keeps Z/d_i + Z/d_j up to isomorphism.
-    By induction on j, once step (i, j) is done d_i divides d_(i+1), ..., d_j:
-    the new d_i = gcd divides the old one, hence d_(i+1), ..., d_(j-1), and
-    it divides the new d_j = lcm.  Later steps (i', j') with i < i' < j' put
-    gcds and lcms of multiples of d_i in place, which are multiples of d_i.
-    So the pass ends with d_1 | d_2 | ..., all positive, hence in order.
-    """
-    d = list(diag)
-    for i in range(len(d)):
-        for j in range(i + 1, len(d)):
-            g = math.gcd(d[i], d[j])
-            d[i], d[j] = g, d[i] * d[j] // g
-    return d
 
 
 def smith_invariants(mat: list[list[int]], ncols: int) -> tuple[int, tuple[int, ...]]:
@@ -142,8 +129,7 @@ def smith_invariants(mat: list[list[int]], ncols: int) -> tuple[int, tuple[int, 
 
 
 def _cokernel(diag: list[int], ncols: int) -> tuple[int, tuple[int, ...]]:
-    chain = _divisibility_chain(diag)
-    return ncols - len(chain), tuple(x for x in chain if x > 1)
+    return ncols - len(diag), tuple(x for x in diag if x > 1)
 
 
 def in_row_lattice(mat: list[list[int]], vec: list[int]) -> bool:
@@ -168,7 +154,7 @@ def _exponent_matrix(p: Presentation) -> list[list[int]]:
 
 @per_input
 def _relator_snf(p: Presentation) -> list[int]:
-    """The Smith diagonal of p's exponent matrix, one per presentation."""
+    """The invariant factors of p's exponent matrix, one per presentation."""
     return _snf_diagonalize(_exponent_matrix(p), p.generator_count)
 
 

@@ -109,6 +109,24 @@ def test_quotient_command(capsys):
     assert "distinct generator images: 12 of 12" in out
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_quotient_and_analyze_of_a_non_quandle_rack_divide_by_different_powers(capsys, tmp_path, n):
+    # x > y = x + 1 mod n: `quotient` divides by the plain powers x^{D_x} and
+    # gets Z/n, while `analyze` reports the finite quotient of the induced
+    # biquandle, which is on one point
+    doc = {"schema": "ybe-rack/1", "n": n, "op": [[(x + 1) % n] * n for x in range(n)]}
+    path = tmp_path / "cyclic.json"
+    path.write_text("".join(json_pieces(doc)))
+    code, out, _ = run(capsys, "quotient", str(path))
+    assert code == EXIT_OK
+    assert out.splitlines()[0] == f"order: {n}"
+    code, out, _ = run(capsys, "analyze", str(path), "--json")
+    assert code == EXIT_OK
+    payload = json.loads(out)
+    assert payload["quotient_order"] == 2
+    assert payload["degrees_d"] == [n] * n
+
+
 def test_quotient_output_survives_optimized_python(capsys):
     # the closing checks are typed errors, not asserts, so python -O runs them
     # and prints the same

@@ -74,6 +74,7 @@ def test_presentation_has_no_empty_or_duplicate_relators(solution_fixtures):
 
 def test_smith_invariants_known_matrices():
     assert smith_invariants([[2, 0], [0, 3]], 2) == (0, (6,))
+    assert _snf_diagonalize([[2, 0], [0, 3]], 2) == [1, 6]
     assert smith_invariants([[1, 0], [0, 1]], 2) == (0, ())
     assert smith_invariants([[0, 0, 0]], 3) == (3, ())
     assert smith_invariants([[2, 4], [4, 8]], 2) == (1, (2,))
@@ -140,8 +141,8 @@ SWAP_TRAP = [
 
 
 def test_snf_of_random_integer_matrices():
-    # one diagonal entry per unit of rank, the invariants match sympy, and
-    # membership matches sympy's Smith decomposition
+    # the diagonal is sympy's nonzero invariant factors, the invariants
+    # match sympy, and membership matches sympy's Smith decomposition
     sympy = pytest.importorskip("sympy")
     from sympy.matrices.normalforms import smith_normal_form
 
@@ -155,7 +156,7 @@ def test_snf_of_random_integer_matrices():
         cols = len(mat[0])
         snf = smith_normal_form(sympy.Matrix(mat))
         want = sorted(abs(snf[i, i]) for i in range(min(snf.shape)) if snf[i, i] != 0)
-        assert len(_snf_diagonalize(mat, cols)) == len(want), mat
+        assert _snf_diagonalize(mat, cols) == want, mat
         before = smith_invariants(mat, cols)
         assert before == (cols - len(want), tuple(d for d in want if d > 1)), mat
         combo = [rng.randint(-3, 3) for _ in mat]
