@@ -8,7 +8,7 @@ from functools import lru_cache
 
 from . import perm
 from .core import BYTE_BOUND, Frozen, Rack, Solution
-from .derived import canonical_form, structure_racks
+from .derived import _rows, canonical_form, structure_racks
 from .errors import SizeTooLarge
 
 RACK_BOUND = 4
@@ -24,26 +24,6 @@ class Census(Frozen):
     @property
     def total_labeled(self) -> int:
         return sum(self.iso_class_sizes)
-
-
-def _tally() -> tuple[Callable[[Solution | Rack, tuple], None], Callable[[], tuple]]:
-    """Count labeled tables by canonical form, keeping the table of least
-    key in each class, so memory grows with the classes.  Returns
-    add(table, key) and a function giving the representatives and class
-    sizes in order of canonical form."""
-    classes: dict[tuple[int, ...], list] = {}  # canonical form -> [key, table, count]
-
-    def add(obj: Solution | Rack, key: tuple) -> None:
-        entry = classes.setdefault(canonical_form(obj), [key, obj, 0])
-        entry[2] += 1
-        if key < entry[0]:
-            entry[:2] = key, obj
-
-    def result() -> tuple[tuple, tuple[int, ...]]:
-        order = sorted(classes)
-        return tuple(classes[c][1] for c in order), tuple(classes[c][2] for c in order)
-
-    return add, result
 
 
 def _symmetric_group(n: int) -> tuple[list[perm.Perm], list[int], list[list[int]]]:
@@ -126,15 +106,22 @@ def _labeled_racks(n: int, quandles_only: bool, perms, inv, comp,
 
 @lru_cache(maxsize=None)
 def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND) -> Census:
-    """All racks (or quandles) on n points up to isomorphism; each class
-    keeps its least column indices."""
+    """All racks (or quandles) on n points up to isomorphism.  The labeled
+    tables come in lexicographic order of their columns, so the first one
+    of each class, which the class keeps, is its least column-major table."""
     if n > bound:
         raise SizeTooLarge(f"rack census bound is {bound}, got {n}")
     perms, *group = _symmetric_group(n)
-    add, result = _tally()
-    _labeled_racks(n, quandles_only, perms, *group, lambda cols: add(
-        Rack(n, tuple(zip(*map(perms.__getitem__, cols)))), tuple(cols)))
-    return Census(n, "quandle" if quandles_only else "rack", *result())
+    classes: dict[tuple[int, ...], list] = {}  # canonical form -> [first table, count]
+
+    def found(cols: list[int]) -> None:
+        rk = Rack(n, tuple(zip(*map(perms.__getitem__, cols))))
+        classes.setdefault(canonical_form(rk), [rk, 0])[1] += 1
+
+    _labeled_racks(n, quandles_only, perms, *group, found)
+    order = sorted(classes)
+    return Census(n, "quandle" if quandles_only else "rack",
+                  tuple(classes[c][0] for c in order), tuple(classes[c][1] for c in order))
 
 
 @lru_cache(maxsize=None)
@@ -142,16 +129,22 @@ def enumerate_solutions(
     n: int, restrict: str | None = None, bound: int = SOLUTION_BOUND
 ) -> Census:
     """All solutions on n points up to isomorphism; restrict may be None,
-    "involutive", or "biquandle".
+    "involutive", or "biquandle".  A class is its canonical form and its count.
 
     By Soloviev's criterion (core._ybe_holds) the solutions are the labeled
     racks > (their structure racks) with rows sigma_x in Aut(>) such that
       (1) sigma_x sigma_y = sigma_w sigma_t,  w = sigma_x(y),
           t = tau_y(x) = sigma_w^{-1}(x > w).
-    Over each labeled rack sigma_0, sigma_1, ... are chosen from Aut(>),
-    (1) is checked on (x, y) once rows x, y, w and t are chosen, and tau is
-    read from t.  Biquandles are the solutions over quandles (is_biquandle).
-    Each class keeps its least (sigma, tau).
+    Over a labeled rack sigma_0, sigma_1, ... are chosen from Aut(>), (1) is
+    checked on (x, y) once rows x, y, w and t are chosen, and tau is read
+    from t.  Biquandles are the solutions over quandles (is_biquandle).
+
+    The racks searched are the rack (or quandle) census's representatives.
+    Relabeling commutes with core._derived_op, so every class has tables
+    over the representative R of its derived rack, and an isomorphism
+    between two solutions over R is an automorphism of R.  So a class s has
+    |Aut(R)|/|Aut(s)| tables over R; each counts n!/|Aut(R)|, the labeled
+    racks isomorphic to R, which gives n!/|Aut(s)| labeled tables in all.
 
     Only the tau rows are checked; right non-degeneracy is not derived here.
     A candidate meets (1), its sigma rows lie in Aut(>), and its derived
@@ -166,21 +159,23 @@ def enumerate_solutions(
         raise ValueError(f"unknown restriction {restrict!r}")
     if n > bound:
         raise SizeTooLarge(f"solution census bound is {bound}, got {n}")
-    perms, inv, comp = group = _symmetric_group(n)
-    add, result = _tally()
+    perms, inv, comp = _symmetric_group(n)
+    counts: dict[tuple[int, ...], int] = {}  # canonical form -> labeled tables
     sig = [0] * n
     back = [()] * n  # back[w][x] = sigma_w^{-1}(x > w) = t
 
     def over(cols: list[int]) -> None:
         auts = [a for a, p in enumerate(perms)
                 if all(comp[a][c] == comp[cols[p[y]]][a] for y, c in enumerate(cols))]
+        weight = len(perms) // len(auts)
 
         def extend(k: int) -> None:
             if k == n:
                 sigma = tuple(map(perms.__getitem__, sig))
                 tau = tuple(zip(*[[back[w][x] for w in sigma[x]] for x in range(n)]))
                 if all(len(set(row)) == n for row in tau):
-                    add(Solution(n, sigma, tau), (sigma, tau))
+                    canon = canonical_form(Solution(n, sigma, tau))
+                    counts[canon] = counts.get(canon, 0) + weight
                 return
             for a in auts:
                 sig[k], back[k] = a, perms[comp[inv[a]][cols[k]]]
@@ -194,8 +189,13 @@ def enumerate_solutions(
     if restrict == "involutive":
         over([0] * n)
     else:
-        _labeled_racks(n, restrict == "biquandle", *group, over)
-    return Census(n, restrict or "all-solutions", *result())
+        for rk in enumerate_racks(n, restrict == "biquandle", bound=n).representatives:
+            over([perms.index(rk.rho(y)) for y in range(n)])
+    order = sorted(counts)
+    tables = [_rows(c, n) for c in order]
+    return Census(n, restrict or "all-solutions",
+                  tuple(Solution(n, rows[:n], rows[n:]) for rows in tables),
+                  tuple(map(counts.__getitem__, order)))
 
 
 def group_by_structure_rack(c: Census) -> dict[tuple[int, ...], tuple[Solution, ...]]:
