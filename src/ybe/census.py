@@ -5,6 +5,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from functools import lru_cache
+from itertools import chain
 
 from . import perm
 from .core import BYTE_BOUND, Frozen, Rack, Solution
@@ -153,7 +154,10 @@ def enumerate_solutions(
     (w, x > w) (the J lemma of core._derived_op): a bijection, as the right
     translations of > are.  And r^2 = J^{-1} r'^2 J is the identity iff
     x > w = x for all x, w: the involutive solutions are those over the
-    trivial rack (perms[0] = id).
+    trivial rack (perms[0] = id).  The other censuses take those classes
+    from the involutive census, exactly (Aut = S_n gives each table weight
+    1, and a representative flattens back to its canonical form), and
+    search only the racks with a non-identity column.
     """
     if restrict not in (None, "involutive", "biquandle"):
         raise ValueError(f"unknown restriction {restrict!r}")
@@ -189,8 +193,13 @@ def enumerate_solutions(
     if restrict == "involutive":
         over([0] * n)
     else:
+        trivial = enumerate_solutions(n, "involutive", bound=bound)
+        for s, size in zip(trivial.representatives, trivial.iso_class_sizes):
+            counts[tuple(chain(*s.sigma, *s.tau))] = size
         for rk in enumerate_racks(n, restrict == "biquandle", bound=n).representatives:
-            over([perms.index(rk.rho(y)) for y in range(n)])
+            cols = [perms.index(rk.rho(y)) for y in range(n)]
+            if any(cols):
+                over(cols)
     order = sorted(counts)
     tables = [_rows(c, n) for c in order]
     return Census(n, restrict or "all-solutions",

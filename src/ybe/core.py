@@ -61,7 +61,7 @@ def _bind(owner: str, names: tuple[str, ...], defaults: dict, args: tuple, kwarg
 
 def per_input(fn):
     """Memoise fn(obj, *args) in obj._memo, so each value is computed once
-    per input object and lives exactly as long as it.
+    per input object and freed with it: no value may refer back to obj.
 
     Defaults are filled in before the key is built, so f(obj), f(obj, v) and
     f(obj, name=v) share one entry; cache_info() counts hits and misses over
@@ -96,17 +96,15 @@ class Frozen:
     subclass generates no code.  A class attribute named like a field is its
     default.  The annotation `_memo: dict` gives each instance a fresh dict
     for per_input; it is not a field, so it takes no part in __init__,
-    equality, hashing or repr.  Fields named in the class keyword `hide`
-    are left out of repr.  Instances compare equal only to instances of
-    the same class, and assigning or deleting an attribute raises
+    equality, hashing or repr.  Instances compare equal only to instances
+    of the same class, and assigning or deleting an attribute raises
     AttributeError; functools.cached_property still works, because it
     writes to the instance __dict__ directly.
     """
 
-    def __init_subclass__(cls, hide: tuple[str, ...] = ()):
+    def __init_subclass__(cls):
         names = tuple(cls.__dict__.get("__annotations__", ()))
         cls._fields = tuple(name for name in names if name != "_memo")
-        cls._shown = tuple(name for name in cls._fields if name not in hide)
         cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
         cls._has_memo = "_memo" in names
 
@@ -130,7 +128,7 @@ class Frozen:
         return hash(self._values())
 
     def __repr__(self):
-        shown = (f"{name}={self.__dict__[name]!r}" for name in self._shown)
+        shown = (f"{name}={self.__dict__[name]!r}" for name in self._fields)
         return f"{type(self).__qualname__}({', '.join(shown)})"
 
     def __setattr__(self, name, value):

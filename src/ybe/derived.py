@@ -11,7 +11,7 @@ over the relabelings (_least_relabelings), which builds no objects.
 from __future__ import annotations
 
 from collections.abc import Hashable, Sequence
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 from . import perm
 from .core import BYTE_BOUND, Frozen, Rack, Solution, Table, _derived_op, per_input, t_map_of
@@ -21,28 +21,17 @@ from .words import _twisted_actions, structure_rho
 ISO_BOUND = 6  # n! relabelings are tried
 
 
-class StructureRackPair(Frozen, hide=("solution",)):
-    """The structure racks of a solution with its T and Sq maps; the left
-    rack and T are built when first read."""
+class StructureRackPair(Frozen):
+    """A solution's structure racks, T and Sq; no field refers back to it."""
 
     right: Rack            # x >_r y
+    left: Table            # left[y][x] = y <_r x
+    T: perm.Perm
     Sq: perm.Perm
-    solution: Solution
-
-    @cached_property
-    def left(self) -> Table:
-        """left[y][x] = y <_r x = sigma_y(sigma^_y^-1(x)) = sigma_y(tau_w(x)),
-        w = sigma_x^-1(y), as r(x, w) = (y, tau_w(x)): x < y of
-        core._derived_op, which is x >_r y, so left is structure_rho."""
-        return structure_rho(self.solution)
-
-    @cached_property
-    def T(self) -> perm.Perm:
-        return t_map_of(self.solution)
 
 
 class RetractionTower(Frozen):
-    levels: tuple[Solution, ...]
+    levels: tuple[Solution, ...]  # the successive retractions, each smaller
     mp_level: int | None  # None means "not MP"
 
 
@@ -53,10 +42,12 @@ def structure_racks(s: Solution) -> StructureRackPair:
     The right operation is x >_r y = tau_y(tau^_y^{-1}(x)) and the left one
     is y <_r x = sigma_y(sigma^_y^{-1}(x)); T(y) = tau_y^{-1}(y) and
     Sq(x) = x >_r x = x <_r x.  The right rack is core._derived_op (J lemma
-    there); it is a rack, so its table is not checked again.
+    there); it is a rack, so its table is not checked again.  The left one
+    is its transpose, words.structure_rho: y <_r x = sigma_y(tau_w(x)) =
+    x < y, w = sigma_x^{-1}(y), as r(x, w) = (y, tau_w(x)).
     """
     right = Rack(s.n, tuple(map(tuple, _derived_op(s))))
-    return StructureRackPair(right, sq_map(right), s)
+    return StructureRackPair(right, structure_rho(s), t_map_of(s), sq_map(right))
 
 
 def sq_map(rk: Rack) -> perm.Perm:
@@ -134,8 +125,9 @@ def retraction(s: Solution) -> tuple[Solution, tuple[int, ...]]:
 def mp_level(s: Solution) -> RetractionTower:
     """Iterate retraction until the size stabilizes.
 
-    mp_level is the number of steps needed to reach one point, or None when
-    the tower stalls at a fixed point of size > 1 (not multipermutation).
+    The levels are the retractions, not s itself.  mp_level is the number
+    of steps needed to reach one point, or None when the tower stalls at a
+    fixed point of size > 1 (not multipermutation).
     """
     levels = [s]
     while levels[-1].n > 1:
@@ -144,7 +136,7 @@ def mp_level(s: Solution) -> RetractionTower:
             break
         levels.append(nxt)
     level = len(levels) - 1 if levels[-1].n == 1 else None
-    return RetractionTower(tuple(levels), level)
+    return RetractionTower(tuple(levels[1:]), level)
 
 
 def cable(s: Solution, m: int) -> Solution:

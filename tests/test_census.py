@@ -1,5 +1,6 @@
 """Exhaustive small censuses and their cross-checks."""
 
+import hashlib
 import math
 import random
 from itertools import permutations, product
@@ -137,6 +138,11 @@ def test_orbit_stabilizer_counting(quandles3, involutive3):
     for census in censuses:
         for rep, size in zip(census.representatives, census.iso_class_sizes):
             assert size * automorphism_count(rep) == math.factorial(rep.n)
+
+
+def test_group_by_structure_rack_rejects_a_rack_census(quandles3):
+    with pytest.raises(TypeError, match="expects a solution census"):
+        group_by_structure_rack(quandles3)
 
 
 def test_group_by_structure_rack(solutions3, quandles3):
@@ -342,6 +348,27 @@ def test_solution_search_checks_only_sigma_compatible_tau_rows(monkeypatch):
             assert restrict != "involutive" or involutive_oracle(s.sigma, s.tau, n)
 
 
+@pytest.mark.parametrize("restrict, searched, digest", [
+    (None, 308, "dd23e3fc586b2893f4c3390e8d47d28d20262ab95daf855a4b37a307d7a42797"),
+    ("biquandle", 125, "578708ad987d270caf113c01eed6054c85971e7a0e73d6c95628688961ffb1bc"),
+])
+def test_solution_censuses_reuse_the_trivial_rack_classes(monkeypatch, restrict, searched, digest):
+    # the trivial rack's 168 labeled tables come from the involutive census,
+    # so they are not canonicalised again: searching every rack would
+    # canonicalise 476 and 293.  The digests are of the censuses that did.
+    trivial = enumerate_solutions(4, "involutive", bound=4)
+    assert trivial.total_labeled == 168
+    tallied = []
+    real = census_module.canonical_form
+    monkeypatch.setattr(census_module, "canonical_form",
+                        lambda obj: tallied.append(obj) or real(obj))
+    census = enumerate_solutions.__wrapped__(4, restrict, bound=4)
+    assert sum(isinstance(s, Solution) for s in tallied) == searched
+    assert hashlib.sha256(repr(census).encode()).hexdigest() == digest
+    for s, size in zip(trivial.representatives, trivial.iso_class_sizes):
+        assert census.iso_class_sizes[census.representatives.index(s)] == size
+
+
 def test_involutive_solutions_are_those_over_the_trivial_rack():
     # r = J^{-1} r' J, so r^2 = id iff x > w = x (proof in enumerate_solutions)
     names = fixture_names()
@@ -437,8 +464,9 @@ def test_six_point_rack_and_quandle_censuses():
     (None, 3607, 102720),
 ])
 def test_five_point_involutive_census(restrict, classes, labeled):
-    # about 80 s each, most of it the search over the trivial rack; the
-    # full census is the one test_verdicts sweeps, shared by the lru_cache
+    # the involutive census, the search over the trivial rack, takes 60-70 s;
+    # the full census after it reuses those classes and takes about 1 s.  It
+    # is the one test_verdicts sweeps, shared by the lru_cache
     census = enumerate_solutions(5, restrict, bound=5)
     assert len(census.representatives) == classes
     assert census.total_labeled == labeled

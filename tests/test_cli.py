@@ -1,6 +1,10 @@
 """CLI behaviour: commands, exit codes, and document round-trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -142,6 +146,34 @@ def test_quotient_output_survives_optimized_python(capsys):
     code, out, _ = run(capsys, "quotient", "rack/12pt-gl23")
     assert code == EXIT_OK
     assert optimized.stdout == out
+
+
+def _cli_subprocess(*argv):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=120)
+
+
+def test_optimized_python_prints_the_same_and_exits_the_same(tmp_path):
+    # a failed braid relation and a full analysis: the typed errors and the
+    # checks that raise them run under -O as well
+    doc = {
+        "schema": "ybe-solution/1",
+        "sigma": [[0, 2, 1], [0, 1, 2], [0, 1, 2]],
+        "tau": [[0, 1, 2], [0, 1, 2], [0, 2, 1]],
+    }
+    path = tmp_path / "ybe-fail.json"
+    path.write_text(json.dumps(doc))
+    payloads = {}
+    for argv, code in [(("check", str(path)), EXIT_INVALID),
+                       (("analyze", "--json", "solution/4pt-irretractable"), EXIT_OK)]:
+        plain = _cli_subprocess("-m", "ybe.cli", *argv)
+        optimized = _cli_subprocess("-O", "-m", "ybe.cli", *argv)
+        assert plain.returncode == optimized.returncode == code, plain.stderr
+        assert plain.stdout == optimized.stdout
+        payloads[argv[0]] = json.loads(plain.stdout)
+    assert payloads["check"]["witness"] == [0, 1, 1]
+    assert payloads["analyze"]["n"] == 4 and payloads["analyze"]["mp_level"] is None
 
 
 def test_a_broken_invariant_exits_internal(capsys, monkeypatch):

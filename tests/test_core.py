@@ -7,6 +7,7 @@ from ybe import (
     classify,
     enumerate_racks,
     invert_solution,
+    perm,
     rack_orbits,
     sd_solutions,
     solution_orbits,
@@ -19,9 +20,10 @@ from ybe.errors import (
     NonBijectiveTranslation,
     NotInvertible,
     SelfDistributivityFailure,
+    UnknownName,
     YBEFailure,
 )
-from ybe.fixtures import fixture_rack, fixture_solution
+from ybe.fixtures import fixture_document, fixture_rack, fixture_solution, object_from_document
 
 IDENT3 = [[0, 1, 2]] * 3
 
@@ -31,6 +33,22 @@ def test_fixture_accessors_reject_the_other_kind():
         fixture_solution("rack/dihedral3")
     with pytest.raises(TypeError):
         fixture_rack("solution/dihedral3-sd")
+
+
+def test_fixture_lookups_reject_unknown_names_and_schemas():
+    # the CLI checks names and schemas first, so only a library call gets here
+    with pytest.raises(UnknownName):
+        fixture_document("rack/nope")
+    doc = dict(fixture_document("rack/dihedral3"), schema="ybe-group/1")
+    with pytest.raises(ValueError, match="unknown document schema 'ybe-group/1'"):
+        object_from_document(doc)
+
+
+def test_negative_power_is_the_power_of_the_inverse():
+    p = (1, 2, 3, 0, 5, 4)
+    for k in range(1, 6):
+        assert perm.power(p, -k) == perm.power(perm.inverse(p), k)
+        assert perm.compose(perm.power(p, -k), perm.power(p, k)) == perm.identity(6)
 
 
 def test_trivial_flip_is_valid_and_involutive():

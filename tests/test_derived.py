@@ -1,8 +1,13 @@
 """Structure racks, induced quotients, retraction, cabling, isomorphism."""
 
+import gc
+import weakref
+from functools import partial
+
 import pytest
 
 from ybe import (
+    analyze,
     are_isomorphic,
     cable,
     canonical_form,
@@ -13,6 +18,7 @@ from ybe import (
     invert_solution,
     mp_level,
     retraction,
+    sd_dichotomy,
     sd_solutions,
     sq_map,
     structure_racks,
@@ -70,13 +76,29 @@ def test_structure_rack_alternative_formulas(solution_fixtures):
                 assert pair.left[y][x] == s.sigma[y][s.tau[sigma_x_inv[y]][x]]
 
 
-def test_structure_racks_builds_left_and_T_only_when_read():
-    s = fixture_solution("solution/dihedral3-c")
-    pair = structure_racks(s)
-    assert "left" not in vars(pair) and "T" not in vars(pair)
-    assert pair.T == tuple(s.tau[y].index(y) for y in range(s.n))
-    assert len(pair.left) == s.n and "left" in vars(pair)
-    assert structure_racks(s) is pair
+def test_analyzed_inputs_are_freed_with_their_last_reference():
+    # no memoised value refers back to its input, so reference counting
+    # alone frees a solution or rack, with all its memos, after analysis
+    names = ["solution/4pt-irretractable", "solution/dihedral3-sd", "solution/twisted-flip3"]
+    shift = [[(v + 1) % 8 for v in range(8)]] * 8
+    makers = [partial(fixture_solution, name) for name in names]
+    makers.append(partial(verify_solution, shift, shift))  # Lyubashenko, n = 8
+    gc.disable()
+    try:
+        for make in makers:
+            s = make()
+            analyze(s)
+            ref = weakref.ref(s)
+            del s
+            assert ref() is None, make
+        for name in ("rack/12pt-gl23", "rack/two-orbit3"):  # torsion, then free abelian
+            rk = fixture_rack(name)
+            sd_dichotomy(rk)
+            refs = [weakref.ref(rk), weakref.ref(sd_solutions(rk)[0])]
+            del rk
+            assert [ref() for ref in refs] == [None, None], name
+    finally:
+        gc.enable()
 
 
 def test_biquandle_iff_structure_rack_is_quandle(solution_fixtures):
@@ -152,7 +174,7 @@ def test_retraction_and_mp_levels(solution_fixtures):
 def test_mp_tower_levels_shrink(solution_fixtures):
     for s in solution_fixtures.values():
         tower = mp_level(s)
-        sizes = [lvl.n for lvl in tower.levels]
+        sizes = [s.n] + [lvl.n for lvl in tower.levels]
         assert sizes[0] == s.n
         assert all(a > b for a, b in zip(sizes, sizes[1:]))
         if tower.mp_level is not None:
