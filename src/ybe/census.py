@@ -4,8 +4,6 @@ isomorphism."""
 from __future__ import annotations
 
 from collections.abc import Callable
-from functools import lru_cache
-from itertools import chain
 
 from . import perm
 from .core import BYTE_BOUND, Frozen, Rack, Solution
@@ -38,94 +36,117 @@ def _symmetric_group(n: int) -> tuple[list[perm.Perm], list[int], list[list[int]
     return perms, [pindex[bytes(perm.inverse(p))] for p in perms], comp
 
 
-def _labeled_racks(n: int, quandles_only: bool, perms, inv, comp,
-                   found: Callable[[list[int]], None]) -> None:
-    """Call found(cols) on each labeled rack (or quandle) on n points, in
-    lexicographic order of cols, where cols[y] (a reused list) indexes rho_y
-    in perms.  Backtracks over the columns in order, using the translation
-    form of self-distributivity: rho_z rho_y = rho_{rho_z(y)} rho_z.
+def _search(perms, inv, comp, rows: list, rho: list[int] | None,
+            found: Callable[[list[int]], None]) -> None:
+    """Call found(sig) once on each assignment sig (a reused list; sig[k]
+    indexes sigma_k in perms and is taken from rows[k]) such that, for all x, y,
+      (1) sigma_x sigma_y = sigma_w sigma_t,  w = sigma_x(y),
+          t = sigma_w^{-1}(rho_w(x)).
+    rho indexes the columns of a rack, or is None for the rack census, where
+    rho = sigma, t = x and (1) is self-distributivity in translation form.
 
-    Pruning.  When column k is chosen, the constraints among columns < k have
-    all been checked, so only those that involve column k are new: (k, z),
-    (y, k), and (y, z) with y, z < k and rho_z(y) = k.  Two of these leave
-    column k no freedom: if rho_z(k) = t < k for some z < k, then
-    rho_k = rho_z^{-1} rho_t rho_z, and if rho_z(y) = k for some y, z < k,
-    then rho_k = rho_z rho_y rho_z^{-1}.  Such a forced column is the only
-    candidate; it still passes the full check of column k.  For quandles it
-    fixes k, as g^{-1} rho_t g fixes g^{-1}(t) and each earlier rho_t fixes t.
+    Each node assigns one point k, chosen by the node alone:
+      (a) a point that occurs once in an instance (x, y) of (1) whose other
+          three rows are assigned, which forces its row: y = k gives
+          sigma_x^{-1} sigma_w sigma_t, t = k gives sigma_w^{-1} sigma_x sigma_y,
+          and for racks, where t = x, w = k gives sigma_x sigma_y sigma_t^{-1};
+      (b) otherwise an unassigned w = sigma_x(y) with x and y assigned;
+      (c) otherwise the least unassigned point.
+    A row is kept if every instance through k with its four rows assigned
+    holds, so each instance is checked once its last row is assigned.  A
+    table that meets (1) and extends the node has the forced row at k, as
+    (1) solves for the row that occurs once; so it is the only candidate.
+    It lies in rows[k] (S_n, or the group Aut(rho) of the earlier rows); for
+    quandles each earlier row fixes its point, so sigma_x sigma_y
+    sigma_x^{-1} fixes sigma_x(y) = k, and sigma_x^{-1} sigma_w sigma_x
+    fixes sigma_x^{-1}(w) = k.  As k depends on the node alone and its
+    candidates are distinct, each table that meets (1) is found exactly
+    once, at the leaf its rows select.
     """
-    if quandles_only:
-        free = [[i for i, p in enumerate(perms) if p[k] == k] for k in range(n)]
-    else:
-        free = [range(len(perms))] * n
-    cols = [0] * n
+    n = len(rows)
+    sig = [-1] * n
+    back = [0] * n  # back[w] indexes sigma_w^{-1} rho_w, so t = perms[back[w]][x]
+    done: list[int] = []
 
-    def consistent(k: int) -> bool:
-        # the constraints (y, z) whose largest index among y, z, rho_z(y) is k
-        c = cols[k]
-        comp_c = comp[c]
-        for y, t in enumerate(perms[c][:k + 1]):        # z = k
-            if t <= k and comp_c[cols[y]] != comp[cols[t]][c]:
+    def choose() -> tuple[int, int | None]:
+        free = -1
+        for x in done:
+            sx = sig[x]
+            for y in done:
+                w = perms[sx][y]
+                if sig[w] < 0:
+                    if rho is None:  # t = x
+                        return w, comp[comp[sx][sig[y]]][inv[sx]]
+                    if free < 0:
+                        free = w
+                elif sig[t := perms[back[w]][x]] < 0:
+                    return t, comp[inv[sig[w]]][comp[sx][sig[y]]]
+            for w in done:
+                if sig[k := perms[inv[sx]][w]] < 0 and sig[t := perms[back[w]][x]] >= 0:
+                    return k, comp[inv[sx]][comp[sig[w]][sig[t]]]
+        return (free if free >= 0 else sig.index(-1)), None
+
+    def holds(k: int, a: int) -> bool:
+        for y in done:  # x = k
+            w = perms[a][y]
+            if (sig[w] >= 0 and sig[t := perms[back[w]][k]] >= 0
+                    and comp[a][sig[y]] != comp[sig[w]][sig[t]]):
                 return False
-        for z in range(k):
-            cz = cols[z]
-            t = perms[cz][k]                             # y = k
-            if t <= k and comp[cz][c] != comp[cols[t]][cz]:
+        for x in done[:-1]:  # done[-1] = k
+            sx = sig[x]
+            w = perms[sx][k]  # y = k
+            if (sig[w] >= 0 and sig[t := perms[back[w]][x]] >= 0
+                    and comp[sx][a] != comp[sig[w]][sig[t]]):
                 return False
-            y = perms[inv[cz]][k]                        # rho_z(y) = k
-            if y < k and comp[cz][cols[y]] != comp_c[cz]:
+            y = perms[inv[sx]][k]  # w = k
+            if (y != k and sig[y] >= 0 and sig[t := perms[back[k]][x]] >= 0
+                    and comp[sx][sig[y]] != comp[a][sig[t]]):
+                return False
+        for w in done[:-1] if rho is not None else ():  # t = k; for racks t = x
+            x = perms[inv[back[w]]][k]
+            if (x != k and sig[x] >= 0 and (y := perms[inv[sig[x]]][w]) != k
+                    and sig[y] >= 0 and comp[sig[x]][sig[y]] != comp[sig[w]][a]):
                 return False
         return True
 
-    def forced(k: int) -> int | None:
-        for z in range(k):
-            cz = cols[z]
-            t = perms[cz][k]
-            if t < k:  # rho_z^{-1} rho_t rho_z
-                return comp[inv[cz]][comp[cols[t]][cz]]
-            y = perms[inv[cz]][k]
-            if y < k:  # rho_z rho_y rho_z^{-1}
-                return comp[cz][comp[cols[y]][inv[cz]]]
-        return None
-
-    def backtrack(k: int) -> None:
-        if k == n:
-            found(cols)
+    def step() -> None:
+        if len(done) == n:
+            found(sig)
             return
-        only = forced(k)
-        if only is None:
-            choices = free[k]
-        else:
-            choices = (only,)
-        for choice in choices:
-            cols[k] = choice
-            if consistent(k):
-                backtrack(k + 1)
+        k, only = choose()
+        done.append(k)
+        for a in rows[k] if only is None else (only,):
+            sig[k] = a
+            back[k] = comp[inv[a]][a if rho is None else rho[k]]
+            if holds(k, a):
+                step()
+        sig[k] = -1
+        done.pop()
 
-    backtrack(0)
+    step()
 
 
-@lru_cache(maxsize=None)
 def enumerate_racks(n: int, quandles_only: bool = False, bound: int = RACK_BOUND) -> Census:
-    """All racks (or quandles) on n points up to isomorphism.  The labeled
-    tables come in lexicographic order of their columns, so the first one
-    of each class, which the class keeps, is its least column-major table."""
+    """All racks (or quandles) on n points up to isomorphism; each class
+    keeps its least column-major table."""
     if n > bound:
         raise SizeTooLarge(f"rack census bound is {bound}, got {n}")
-    perms, *group = _symmetric_group(n)
-    classes: dict[tuple[int, ...], list] = {}  # canonical form -> [first table, count]
+    perms, inv, comp = _symmetric_group(n)
+    classes: dict[tuple[int, ...], list] = {}  # canonical form -> [(least cols, rack), count]
 
     def found(cols: list[int]) -> None:
-        rk = Rack(n, tuple(zip(*map(perms.__getitem__, cols))))
-        classes.setdefault(canonical_form(rk), [rk, 0])[1] += 1
+        table = (cols[:], Rack(n, tuple(zip(*map(perms.__getitem__, cols)))))
+        entry = classes.setdefault(canonical_form(table[1]), [table, 0])
+        entry[0] = min(entry[0], table)
+        entry[1] += 1
 
-    _labeled_racks(n, quandles_only, perms, *group, found)
+    rows = [[i for i, p in enumerate(perms) if p[k] == k or not quandles_only] for k in range(n)]
+    _search(perms, inv, comp, rows, None, found)
     order = sorted(classes)
     return Census(n, "quandle" if quandles_only else "rack",
-                  tuple(classes[c][0] for c in order), tuple(classes[c][1] for c in order))
+                  tuple(classes[c][0][1] for c in order), tuple(classes[c][1] for c in order))
 
 
-@lru_cache(maxsize=None)
 def enumerate_solutions(
     n: int, restrict: str | None = None, bound: int = SOLUTION_BOUND
 ) -> Census:
@@ -133,12 +154,9 @@ def enumerate_solutions(
     "involutive", or "biquandle".  A class is its canonical form and its count.
 
     By Soloviev's criterion (core._ybe_holds) the solutions are the labeled
-    racks > (their structure racks) with rows sigma_x in Aut(>) such that
-      (1) sigma_x sigma_y = sigma_w sigma_t,  w = sigma_x(y),
-          t = tau_y(x) = sigma_w^{-1}(x > w).
-    Over a labeled rack sigma_0, sigma_1, ... are chosen from Aut(>), (1) is
-    checked on (x, y) once rows x, y, w and t are chosen, and tau is read
-    from t.  Biquandles are the solutions over quandles (is_biquandle).
+    racks > (their structure racks) with rows sigma_x in Aut(>) that meet
+    (1) of _search for rho_w(x) = x > w, with tau read from t = tau_y(x).
+    Biquandles are the solutions over quandles (is_biquandle).
 
     The racks searched are the rack (or quandle) census's representatives.
     Relabeling commutes with core._derived_op, so every class has tables
@@ -154,10 +172,7 @@ def enumerate_solutions(
     (w, x > w) (the J lemma of core._derived_op): a bijection, as the right
     translations of > are.  And r^2 = J^{-1} r'^2 J is the identity iff
     x > w = x for all x, w: the involutive solutions are those over the
-    trivial rack (perms[0] = id).  The other censuses take those classes
-    from the involutive census, exactly (Aut = S_n gives each table weight
-    1, and a representative flattens back to its canonical form), and
-    search only the racks with a non-identity column.
+    trivial rack (perms[0] = id), with Aut = S_n and weight 1.
     """
     if restrict not in (None, "involutive", "biquandle"):
         raise ValueError(f"unknown restriction {restrict!r}")
@@ -165,41 +180,25 @@ def enumerate_solutions(
         raise SizeTooLarge(f"solution census bound is {bound}, got {n}")
     perms, inv, comp = _symmetric_group(n)
     counts: dict[tuple[int, ...], int] = {}  # canonical form -> labeled tables
-    sig = [0] * n
-    back = [()] * n  # back[w][x] = sigma_w^{-1}(x > w) = t
-
-    def over(cols: list[int]) -> None:
+    if restrict == "involutive":
+        racks = [[0] * n]
+    else:
+        racks = [[perms.index(rk.rho(y)) for y in range(n)]
+                 for rk in enumerate_racks(n, restrict == "biquandle", bound=n).representatives]
+    for cols in racks:
         auts = [a for a, p in enumerate(perms)
                 if all(comp[a][c] == comp[cols[p[y]]][a] for y, c in enumerate(cols))]
         weight = len(perms) // len(auts)
 
-        def extend(k: int) -> None:
-            if k == n:
-                sigma = tuple(map(perms.__getitem__, sig))
-                tau = tuple(zip(*[[back[w][x] for w in sigma[x]] for x in range(n)]))
-                if all(len(set(row)) == n for row in tau):
-                    canon = canonical_form(Solution(n, sigma, tau))
-                    counts[canon] = counts.get(canon, 0) + weight
-                return
-            for a in auts:
-                sig[k], back[k] = a, perms[comp[inv[a]][cols[k]]]
-                if all(comp[sig[x]][sig[y]] == comp[sig[w]][sig[t]]
-                       for x in range(k + 1) for y, w in enumerate(perms[sig[x]][:k + 1])
-                       if w <= k and (t := back[w][x]) <= k):
-                    extend(k + 1)
+        def found(sig: list[int]) -> None:
+            sigma = tuple(map(perms.__getitem__, sig))
+            tau = tuple(zip(*[[perms[comp[inv[sig[w]]][cols[w]]][x] for w in sigma[x]]
+                              for x in range(n)]))
+            if all(len(set(row)) == n for row in tau):
+                canon = canonical_form(Solution(n, sigma, tau))
+                counts[canon] = counts.get(canon, 0) + weight
 
-        extend(0)
-
-    if restrict == "involutive":
-        over([0] * n)
-    else:
-        trivial = enumerate_solutions(n, "involutive", bound=bound)
-        for s, size in zip(trivial.representatives, trivial.iso_class_sizes):
-            counts[tuple(chain(*s.sigma, *s.tau))] = size
-        for rk in enumerate_racks(n, restrict == "biquandle", bound=n).representatives:
-            cols = [perms.index(rk.rho(y)) for y in range(n)]
-            if any(cols):
-                over(cols)
+        _search(perms, inv, comp, [auts] * n, cols, found)
     order = sorted(counts)
     tables = [_rows(c, n) for c in order]
     return Census(n, restrict or "all-solutions",

@@ -201,9 +201,70 @@ def test_rack_census_builds_one_rack_per_labeled_table(monkeypatch):
         real_init(self, *args, **kwargs)
 
     monkeypatch.setattr(Rack, "__init__", counting_init)
-    census = enumerate_racks.__wrapped__(4)
+    census = enumerate_racks(4)
     assert census.total_labeled == 114
     assert len(built) == 114
+
+
+# -- every census up to one size past its bound, pinned ----------------------
+
+# sha256 of the repr of each census.  They were computed by an earlier,
+# independent search (columns, then sigma rows, in a fixed order), so they
+# cross-check the forced-first one.
+RACK_DIGESTS = {
+    (1, False): "08617d5329694399ecee7ae115ee1e701ed238ed800af1f083d5a2c8424fd730",
+    (1, True): "0c3d454df80a41b0239e081460908ef22138654974e70abe18177111d0fab034",
+    (2, False): "ce8e48a7b8a2bce565c10c96ffa0d1cf3f1d834271656241d84687722a877d4d",
+    (2, True): "65fd201b6d7051584ef1b16bcf14eaced567f773f0262417fa6ecf893969d39e",
+    (3, False): "9f99ae6088af90cf4fa90406e926f688242f0db01ae433eb1a3cb6c4c8eeecfb",
+    (3, True): "83b3508ad8ad36b17fce13f9258a3db6bc88f83a3925e0dcdd90bdc4da87b14a",
+    (4, False): "ad1de3e3a132842ac7e84b2499c7df1d198bf38898f233ae4c375e5589be32cf",
+    (4, True): "b1efe7081b6b1338bce063e6612b84cb530932117e9d4f22cf27acbfa024ebaf",
+    (5, False): "cd7697d1a04fde57ed7763e1d37e868b536d6b42826c34ecc58ea47a4eafa529",
+    (5, True): "7a6a0e0a0905064a8906b355fa0ac8cd0a59568ab4d583150858d9c9e43bebf6",
+}
+SOLUTION_DIGESTS = {  # the census, then its group_by_structure_rack blocks
+    (1, None): ("19e27b4d99a0bf4315d6b90a5754da0e14a94e2bacc669df531c8af822de4ecb",
+                "19ba90c9f525aa3289398fda4a81c23d3f9b1f62983cffd4cf2c3d8b52e96e5b"),
+    (1, "involutive"): ("a23a8854216db51654ed26d0d38a36967511bca3d98ea363974ffa68d2d3c4e2",
+                        "19ba90c9f525aa3289398fda4a81c23d3f9b1f62983cffd4cf2c3d8b52e96e5b"),
+    (1, "biquandle"): ("4a292f51789815ed09f6e3098fa73649f2833dea74f914bd32945236c0b3969d",
+                       "19ba90c9f525aa3289398fda4a81c23d3f9b1f62983cffd4cf2c3d8b52e96e5b"),
+    (2, None): ("81e3d6a0f514b2a71dbc4ee99cff187493820cf63234e2d6fba8a53c67e74fd2",
+                "e4d83df8f49573c9e0a94f1c5b44229f5d18f1da2891a101c46f81ca38ff2dd7"),
+    (2, "involutive"): ("b76cc9aae995c0912c64446544f20c09a1f23067ec29f082e8738b3433c139a5",
+                        "ca21573dc036a3c7a04ca78f7e7894722bf6697b241a6d8ff702738220c3ef34"),
+    (2, "biquandle"): ("3a00c209de18586749f6291dea4242dbee17bcc313e770b334db11b020d9346f",
+                       "ca21573dc036a3c7a04ca78f7e7894722bf6697b241a6d8ff702738220c3ef34"),
+    (3, None): ("00ba41d2b273b48b2b56ebbbec940b9e1e65c8f7c77d6109ce73b249c64c6b5e",
+                "f4052832f2a7f88dad0245bba4c3df30880c240319eb0f4e6581e2b197232a9a"),
+    (3, "involutive"): ("585a79a2c654ed965b76ddc9e13a3cb5e88bf55d7f305ed9e95d246c2ebc5dde",
+                        "5b699c4cf6d5faae405ce66b9d91e0523ba8e2ba7d46b86ff73926d53dd381a3"),
+    (3, "biquandle"): ("641b128a791da56c288c29a869b258bf7efc85bd2d9db02f0e49f4ed06a25c8d",
+                       "c0c9874c4dfe3b17fe07f13999e0ae051fecff61ebc35ae853cd6cb0f7828f3e"),
+    (4, None): ("dd23e3fc586b2893f4c3390e8d47d28d20262ab95daf855a4b37a307d7a42797",
+                "7a770b8998fcaaabe3e237dfa8ebcfa13a2bb237d69dfa1ce83003e81b5c87df"),
+    (4, "involutive"): ("c14ddbb9ec24b6663336fa293bf461cc2ca1aebfc1b693abd6860d7711737028",
+                        "8f8114b75f537fd0c05b0db5ff1e77b1913c02a5858c4d44c86fe91100fd6c70"),
+    (4, "biquandle"): ("578708ad987d270caf113c01eed6054c85971e7a0e73d6c95628688961ffb1bc",
+                       "d3a6533b7bd828f3f5d829ddfcf21f083c5aa649bbcf1a49a15958151fd2ba20"),
+}
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n, quandles_only", list(RACK_DIGESTS))
+def test_rack_census_digests(n, quandles_only):
+    assert _digest(enumerate_racks(n, quandles_only, bound=n)) == RACK_DIGESTS[n, quandles_only]
+
+
+@pytest.mark.parametrize("n, restrict", list(SOLUTION_DIGESTS))
+def test_solution_census_digests(n, restrict):
+    census = enumerate_solutions(n, restrict, bound=n)
+    blocks = group_by_structure_rack(census)
+    assert (_digest(census), _digest(blocks)) == SOLUTION_DIGESTS[n, restrict]
 
 
 # -- the pruned searches against the exhaustive ones, kept as oracles -------
@@ -288,8 +349,8 @@ def test_rack_search_matches_the_all_column_oracle(n, quandles_only):
 
 
 def test_rack_representatives_have_the_least_column_major_table():
-    # _labeled_racks finds the tables in lexicographic order of their
-    # columns, and each class keeps the first one it finds
+    # the search finds a class's tables in no fixed order, and the class
+    # keeps the least of them
     for n in range(1, 6):
         for quandles_only in (False, True):
             for rk in enumerate_racks(n, quandles_only, bound=n).representatives:
@@ -336,7 +397,7 @@ def test_solution_search_checks_only_sigma_compatible_tau_rows(monkeypatch):
                         lambda obj: tallied.append(obj) or real(obj))
     for n, restrict, labeled in [(3, None, 66), (4, None, 1800), (4, "involutive", 168)]:
         tallied.clear()
-        census = enumerate_solutions.__wrapped__(n, restrict, bound=n)
+        census = enumerate_solutions(n, restrict, bound=n)
         solutions = [s for s in tallied if isinstance(s, Solution)]  # not the rack census's
         assert census.total_labeled == labeled
         if restrict is None:
@@ -348,23 +409,18 @@ def test_solution_search_checks_only_sigma_compatible_tau_rows(monkeypatch):
             assert restrict != "involutive" or involutive_oracle(s.sigma, s.tau, n)
 
 
-@pytest.mark.parametrize("restrict, searched, digest", [
-    (None, 308, "dd23e3fc586b2893f4c3390e8d47d28d20262ab95daf855a4b37a307d7a42797"),
-    ("biquandle", 125, "578708ad987d270caf113c01eed6054c85971e7a0e73d6c95628688961ffb1bc"),
+@pytest.mark.parametrize("restrict, digest", [
+    (None, "dd23e3fc586b2893f4c3390e8d47d28d20262ab95daf855a4b37a307d7a42797"),
+    ("biquandle", "578708ad987d270caf113c01eed6054c85971e7a0e73d6c95628688961ffb1bc"),
 ])
-def test_solution_censuses_reuse_the_trivial_rack_classes(monkeypatch, restrict, searched, digest):
-    # the trivial rack's 168 labeled tables come from the involutive census,
-    # so they are not canonicalised again: searching every rack would
-    # canonicalise 476 and 293.  The digests are of the censuses that did.
+def test_solution_censuses_hold_the_involutive_classes(restrict, digest):
+    # the full and biquandle censuses search the trivial rack among the
+    # others, and find each involutive class with the involutive census's
+    # representative and count
     trivial = enumerate_solutions(4, "involutive", bound=4)
     assert trivial.total_labeled == 168
-    tallied = []
-    real = census_module.canonical_form
-    monkeypatch.setattr(census_module, "canonical_form",
-                        lambda obj: tallied.append(obj) or real(obj))
-    census = enumerate_solutions.__wrapped__(4, restrict, bound=4)
-    assert sum(isinstance(s, Solution) for s in tallied) == searched
-    assert hashlib.sha256(repr(census).encode()).hexdigest() == digest
+    census = enumerate_solutions(4, restrict, bound=4)
+    assert _digest(census) == digest
     for s, size in zip(trivial.representatives, trivial.iso_class_sizes):
         assert census.iso_class_sizes[census.representatives.index(s)] == size
 
@@ -458,16 +514,25 @@ def test_six_point_rack_and_quandle_censuses():
     assert len(enumerate_racks(6, bound=6).representatives) == 353
 
 
-@pytest.mark.slow
-@pytest.mark.parametrize("restrict, classes, labeled", [
-    ("involutive", 88, 2640),  # 88: Etingof-Schedler-Soloviev, Duke Math. J. 1999
-    (None, 3607, 102720),
+@pytest.mark.parametrize("restrict, classes, labeled, digest", [
+    # 88: Etingof-Schedler-Soloviev, Duke Math. J. 1999
+    ("involutive", 88, 2640, "5c129e8d65c970c89852bfbce01119f23379b7c526d58000eb9f0d9a4c130010"),
+    (None, 3607, 102720, "af71c892623fe9de23f994ca0bf09c7d7479365c6cbadec041b8cfef7c4bbdb2"),
 ])
-def test_five_point_involutive_census(restrict, classes, labeled):
-    # the involutive census, the search over the trivial rack, takes 60-70 s;
-    # the full census after it reuses those classes and takes about 1 s.  It
-    # is the one test_verdicts sweeps, shared by the lru_cache
+def test_five_point_involutive_census(restrict, classes, labeled, digest):
+    # about 0.5 s for the involutive census, the search over the trivial
+    # rack, and 1-1.5 s for the full one, which searches every rack
     census = enumerate_solutions(5, restrict, bound=5)
     assert len(census.representatives) == classes
     assert census.total_labeled == labeled
     assert sum(120 // automorphism_count(s) for s in census.representatives) == labeled
+    assert _digest(census) == digest
+
+
+@pytest.mark.slow
+def test_six_point_involutive_census():
+    # 595 classes: Etingof-Schedler-Soloviev, Duke Math. J. 1999
+    census = enumerate_solutions(6, "involutive", bound=6)
+    assert len(census.representatives) == 595
+    assert census.total_labeled == 82080
+    assert sum(720 // automorphism_count(s) for s in census.representatives) == 82080

