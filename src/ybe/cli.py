@@ -10,9 +10,7 @@ from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
 
-from .census import enumerate_racks, enumerate_solutions, group_by_structure_rack
 from .core import Rack, Solution, chain_periods, classify, sd_solutions
-from .derived import cable
 from .errors import (
     CosetLimitExceeded,
     InvalidInput,
@@ -28,8 +26,6 @@ from .fixtures import (
     fixture_document,
     object_from_document,
 )
-from .fpgroups import DEFAULT_COSET_CAP, finite_quotient, rack_finite_quotient
-from .verdicts import analyze, sd_dichotomy
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -106,6 +102,7 @@ def _load_document(path: str) -> dict:
 
 def _coset_cap(args) -> int:
     """--coset-cap, else YBE_COSET_CAP, else the default; must be positive."""
+    from .fpgroups import DEFAULT_COSET_CAP
     cap = args.coset_cap
     if cap is None:
         env = os.environ.get("YBE_COSET_CAP")
@@ -158,6 +155,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    from .verdicts import analyze, sd_dichotomy
     cap = _coset_cap(args)
     doc = _load_document(args.path)
     obj = object_from_document(doc)
@@ -180,6 +178,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_quotient(args) -> int:
+    from .fpgroups import finite_quotient, rack_finite_quotient
     cap = _coset_cap(args)
     doc = _load_document(args.path)
     obj = object_from_document(doc)
@@ -201,6 +200,7 @@ def cmd_quotient(args) -> int:
 
 
 def cmd_enumerate(args) -> int:
+    from .census import enumerate_racks, enumerate_solutions, group_by_structure_rack
     if args.size < 1:
         raise _UsageError(f"the census size must be a positive integer, got {args.size}")
     kind = args.kind
@@ -255,6 +255,7 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_cable(args) -> int:
+    from .derived import cable
     if args.m < 1:
         raise _UsageError(f"the cabling degree must be a positive integer, got {args.m}")
     doc = _load_document(args.path)

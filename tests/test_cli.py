@@ -176,14 +176,47 @@ def test_optimized_python_prints_the_same_and_exits_the_same(tmp_path):
     assert payloads["analyze"]["n"] == 4 and payloads["analyze"]["mp_level"] is None
 
 
+# runs one command as `python -m ybe.cli` does and prints its exit code and
+# the ybe submodules that were executed: a module that `import ybe` put in
+# sys.modules lazily is still an importlib.util._LazyModule until first use
+_LOADED_BY_COMMAND = """
+import contextlib, io, json, runpy, sys, types
+sys.argv = ["ybe", *sys.argv[1:]]
+with contextlib.redirect_stdout(io.StringIO()):
+    try:
+        runpy.run_module("ybe.cli", run_name="__main__", alter_sys=True)
+    except SystemExit as exc:
+        code = exc.code
+print(json.dumps([code, sorted(name for name, module in sys.modules.items()
+                               if name.startswith("ybe.") and type(module) is types.ModuleType)]))
+"""
+_BASE_MODULES = ["core", "errors", "fixtures", "perm"]
+_CABLE_MODULES = [*_BASE_MODULES, "derived", "words"]
+_QUOTIENT_MODULES = [*_CABLE_MODULES, "fpgroups"]
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["check", "rack/dihedral3"], _BASE_MODULES),
+    (["catalog"], _BASE_MODULES),
+    (["cable", "solution/dihedral3-sd", "-m", "2"], _CABLE_MODULES),
+    (["enumerate", "--size", "3"], [*_CABLE_MODULES, "census"]),
+    (["quotient", "rack/dihedral3"], _QUOTIENT_MODULES),
+    (["analyze", "rack/dihedral3"], [*_QUOTIENT_MODULES, "verdicts"]),
+], ids=["check", "catalog", "cable", "enumerate", "quotient", "analyze"])
+def test_each_command_executes_only_the_modules_it_runs(argv, modules):
+    out = _cli_subprocess("-W", "error", "-c", _LOADED_BY_COMMAND, *argv)
+    assert out.stderr == ""
+    assert json.loads(out.stdout) == [EXIT_OK, sorted(f"ybe.{name}" for name in modules)]
+
+
 def test_a_broken_invariant_exits_internal(capsys, monkeypatch):
-    from ybe import cli
+    from ybe import fpgroups
     from ybe.errors import InvariantViolation
 
     def broken(*args, **kwargs):
         raise InvariantViolation("relator fails on the coset table")
 
-    monkeypatch.setattr(cli, "rack_finite_quotient", broken)
+    monkeypatch.setattr(fpgroups, "rack_finite_quotient", broken)
     code, out, err = run(capsys, "quotient", "rack/dihedral3")
     assert code == EXIT_INTERNAL == 4
     assert out == "" and err.startswith("internal error: relator fails")
@@ -339,12 +372,12 @@ def test_cable_degree_below_one_is_a_usage_error(capsys, m):
 
 @pytest.mark.parametrize("kind", ["rack", "quandle"])
 def test_group_by_rack_on_a_rack_census_is_a_usage_error(capsys, monkeypatch, kind):
-    from ybe import cli
+    from ybe import census
 
     def no_census(*args, **kwargs):
         raise AssertionError("the census ran")
 
-    monkeypatch.setattr(cli, "enumerate_racks", no_census)
+    monkeypatch.setattr(census, "enumerate_racks", no_census)
     code, out, err = run(capsys, "enumerate", "--size", "3", "--kind", kind, "--group-by-rack")
     assert code == EXIT_USAGE
     assert out == "" and "--group-by-rack" in err
