@@ -20,19 +20,7 @@ _EXPORTS = {
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names.split()}
 
-__all__ = [
-    "AbelianInvariants", "AnalysisReport", "Census", "ChainReport", "DegreeTable",
-    "FiniteGroup", "Presentation", "Rack", "RetractionTower", "Solution", "SolutionClass",
-    "StructureRackPair", "Word", "abelianization", "act_left", "act_right", "analyze",
-    "are_isomorphic", "biorderability", "cable", "canonical_form", "census", "chain_periods",
-    "classify", "core", "degrees", "derived", "enumerate_racks", "enumerate_solutions",
-    "errors", "finite_quotient", "fpgroups", "group_by_structure_rack", "guitar",
-    "guitar_inverse", "induced_biquandle", "induced_injective_solution", "induced_quandle",
-    "invert_solution", "involutive_orderability", "is_injective", "mp_level", "perm",
-    "rack_finite_quotient", "rack_orbits", "retraction", "rho_of_word", "sd_dichotomy",
-    "sd_solutions", "solution_orbits", "sq_map", "structure_presentation", "structure_racks",
-    "twisted_power", "verdicts", "verify_rack", "verify_solution", "word_of", "words",
-]
+__all__ = sorted([*_HOME, *_EXPORTS, "errors", "perm"])
 __version__ = "0.1.0"
 
 

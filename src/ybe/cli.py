@@ -10,7 +10,7 @@ from collections.abc import Iterator
 from itertools import chain
 from pathlib import Path
 
-from .core import Rack, Solution, chain_periods, classify, sd_solutions
+from .core import Rack, Solution, _flags, chain_periods, sd_solutions
 from .errors import (
     CosetLimitExceeded,
     InvalidInput,
@@ -18,13 +18,6 @@ from .errors import (
     SizeTooLarge,
     UnknownName,
     YBEError,
-)
-from .fixtures import (
-    RACK_SCHEMA,
-    SOLUTION_SCHEMA,
-    catalog,
-    fixture_document,
-    object_from_document,
 )
 
 EXIT_OK = 0
@@ -81,23 +74,27 @@ def _print_json(value) -> None:
 
 
 def parse_document(text: str) -> dict:
+    from .fixtures import RACK_SCHEMA, SOLUTION_SCHEMA
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("schema") not in (SOLUTION_SCHEMA, RACK_SCHEMA):
         raise ValueError("document must carry a known schema tag")
     return doc
 
 
-def _load_document(path: str) -> dict:
+def _load(path: str) -> tuple[dict, Solution | Rack]:
+    """The document in the file at path, else the fixture named path, and
+    its validated object."""
+    from .fixtures import fixture_document, object_from_document
     p = Path(path)
     if p.exists():
         try:
             text = p.read_text()
         except OSError as exc:
             raise InvalidInput(f"cannot read {path}: {exc.strerror or exc}") from exc
-        return parse_document(text)
-    if path in catalog():
-        return fixture_document(path)
-    raise UnknownName(path)
+        doc = parse_document(text)
+    else:
+        doc = fixture_document(path)
+    return doc, object_from_document(doc)
 
 
 def _coset_cap(args) -> int:
@@ -119,9 +116,8 @@ def _coset_cap(args) -> int:
 
 def cmd_check(args) -> int:
     try:
-        doc = _load_document(args.path)
-        obj = object_from_document(doc)
-    except (InvalidInput, ValueError, UnknownName, json.JSONDecodeError) as exc:
+        _, obj = _load(args.path)
+    except (InvalidInput, ValueError, UnknownName) as exc:
         payload = {"valid": False, "error": type(exc).__name__, "detail": str(exc)}
         witness = getattr(exc, "triple", None)
         if witness is not None:
@@ -139,17 +135,7 @@ def cmd_check(args) -> int:
             "orbit_count": report.orbit_count,
         }
     else:
-        flags = classify(obj)
-        payload = {
-            "valid": True,
-            "kind": "solution",
-            "n": obj.n,
-            "involutive": flags.involutive,
-            "biquandle": flags.biquandle,
-            "self_distributive_right": flags.self_distributive_right,
-            "self_distributive_left": flags.self_distributive_left,
-            "decomposable": flags.decomposable,
-        }
+        payload = {"valid": True, "kind": "solution", "n": obj.n, **_flags(obj)}
     print(json.dumps(payload, sort_keys=True))
     return EXIT_OK
 
@@ -157,8 +143,7 @@ def cmd_check(args) -> int:
 def cmd_analyze(args) -> int:
     from .verdicts import analyze, sd_dichotomy
     cap = _coset_cap(args)
-    doc = _load_document(args.path)
-    obj = object_from_document(doc)
+    _, obj = _load(args.path)
     report = analyze(obj if isinstance(obj, Solution) else sd_solutions(obj)[0], cap)
     payload = report.to_dict()
     if isinstance(obj, Rack):
@@ -180,8 +165,7 @@ def cmd_analyze(args) -> int:
 def cmd_quotient(args) -> int:
     from .fpgroups import finite_quotient, rack_finite_quotient
     cap = _coset_cap(args)
-    doc = _load_document(args.path)
-    obj = object_from_document(doc)
+    doc, obj = _load(args.path)
     if isinstance(obj, Rack):
         fg = rack_finite_quotient(obj, coset_cap=cap)
         iota = fg.gen_images
@@ -208,10 +192,8 @@ def cmd_enumerate(args) -> int:
         raise _UsageError("--group-by-rack applies to solution censuses")
     if kind in ("rack", "quandle"):
         census = enumerate_racks(args.size, quandles_only=(kind == "quandle"))
-    elif kind in ("involutive", "biquandle"):
-        census = enumerate_solutions(args.size, restrict=kind)
     else:
-        census = enumerate_solutions(args.size, restrict=None)
+        census = enumerate_solutions(args.size, restrict=None if kind == "all" else kind)
     rows = []
     for i, (rep, size) in enumerate(
         zip(census.representatives, census.iso_class_sizes)
@@ -256,10 +238,10 @@ def cmd_enumerate(args) -> int:
 
 def cmd_cable(args) -> int:
     from .derived import cable
+    from .fixtures import SOLUTION_SCHEMA
     if args.m < 1:
         raise _UsageError(f"the cabling degree must be a positive integer, got {args.m}")
-    doc = _load_document(args.path)
-    obj = object_from_document(doc)
+    doc, obj = _load(args.path)
     if isinstance(obj, Rack):
         raise ValueError("cabling applies to solution documents")
     result = cable(obj, args.m)
@@ -276,16 +258,12 @@ def cmd_cable(args) -> int:
 
 
 def cmd_catalog(args) -> int:
-    names = sorted(catalog())
+    from .fixtures import SOLUTION_SCHEMA, catalog
+    docs = sorted(catalog().items())
     if args.json:
-        payload = [
-            {"name": name, "schema": catalog()[name]["schema"], "n": catalog()[name]["n"]}
-            for name in names
-        ]
-        _print_json(payload)
+        _print_json([{"name": name, "schema": doc["schema"], "n": doc["n"]} for name, doc in docs])
     else:
-        for name in names:
-            doc = catalog()[name]
+        for name, doc in docs:
             kind = "solution" if doc["schema"] == SOLUTION_SCHEMA else "rack"
             print(f"{name}\t{kind}\tn={doc['n']}")
     return EXIT_OK
@@ -358,7 +336,7 @@ def main(argv=None) -> int:
     except (CosetLimitExceeded, SizeTooLarge) as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (InvalidInput, UnknownName, ValueError, json.JSONDecodeError) as exc:
+    except (InvalidInput, UnknownName, ValueError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
         return EXIT_INVALID
     except YBEError as exc:

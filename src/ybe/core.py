@@ -509,3 +509,8 @@ def classify(s: Solution) -> SolutionClass:
         t_map=t_map_of(s) if bq else None,
     )
 
+
+def _flags(s: Solution) -> dict[str, bool]:
+    """The flags of classify(s) by name: every SolutionClass field but t_map."""
+    c = classify(s)
+    return {name: getattr(c, name) for name in c._fields if name != "t_map"}

@@ -7,6 +7,7 @@ from .core import (
     Frozen,
     Rack,
     Solution,
+    _flags,
     classify,
     per_input,
     rack_orbits,
@@ -165,7 +166,7 @@ def analyze(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> AnalysisReport:
 
     Every finite quotient is enumerated under coset_cap.
     """
-    flags = classify(s)
+    flags = _flags(s)
     k = len(solution_orbits(s))
     K = len(rack_orbits(structure_racks(s).right))
     deg = degrees(s)
@@ -185,14 +186,14 @@ def analyze(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> AnalysisReport:
             "bi-orderable: the structure group is free abelian, hence "
             "left-orderable and diffuse"
         )
-    elif flags.involutive:
+    elif flags["involutive"]:
         iv = involutive_orderability(s)
         left = diffuse = "yes" if iv.left_orderable else "no"
         notes.append(
             "involutive case: left-orderability and diffuseness are both "
             "equivalent to being multipermutation"
         )
-    elif flags.self_distributive_right or flags.self_distributive_left:
+    elif flags["self_distributive_right"] or flags["self_distributive_left"]:
         # non-free-abelian SD case: the structure group has torsion, so it
         # is neither left-orderable nor diffuse
         left = diffuse = "no"
@@ -209,11 +210,7 @@ def analyze(s: Solution, coset_cap: int = DEFAULT_COSET_CAP) -> AnalysisReport:
         )
     return AnalysisReport(
         n=s.n,
-        involutive=flags.involutive,
-        biquandle=flags.biquandle,
-        self_distributive_right=flags.self_distributive_right,
-        self_distributive_left=flags.self_distributive_left,
-        decomposable=flags.decomposable,
+        **flags,
         k_r=k,
         K_r=K,
         degrees_d=deg.d,

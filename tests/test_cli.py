@@ -199,7 +199,7 @@ _QUOTIENT_MODULES = [*_CABLE_MODULES, "fpgroups"]
     (["check", "rack/dihedral3"], _BASE_MODULES),
     (["catalog"], _BASE_MODULES),
     (["cable", "solution/dihedral3-sd", "-m", "2"], _CABLE_MODULES),
-    (["enumerate", "--size", "3"], [*_CABLE_MODULES, "census"]),
+    (["enumerate", "--size", "3"], ["census", "core", "derived", "errors", "perm", "words"]),
     (["quotient", "rack/dihedral3"], _QUOTIENT_MODULES),
     (["analyze", "rack/dihedral3"], [*_QUOTIENT_MODULES, "verdicts"]),
 ], ids=["check", "catalog", "cable", "enumerate", "quotient", "analyze"])

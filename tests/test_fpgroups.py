@@ -13,6 +13,7 @@ from ybe import (
     Solution,
     abelianization,
     enumerate_racks,
+    enumerate_solutions,
     finite_quotient,
     induced_injective_solution,
     is_injective,
@@ -435,6 +436,19 @@ def test_induced_injective_solution():
     d = fixture_solution("solution/dihedral3-sd")
     same, cls_d = induced_injective_solution(d)
     assert same == d and cls_d == (0, 1, 2)
+
+
+def test_induced_injective_solution_over_the_censuses():
+    # the two solutions have one structure group, so one abelianization.
+    # Their finite quotients can differ: on 11 classes of size 4, |G-bar|
+    # falls from 6 or 18 to 4, or from 32 to 8
+    classes = [s for n in (2, 3, 4) for s in enumerate_solutions(n, bound=n).representatives]
+    for s in classes:
+        iis, _ = induced_injective_solution(s)
+        assert is_injective(iis)[0], s
+        assert abelianization(structure_presentation(iis)) == abelianization(
+            structure_presentation(s)), s
+    assert len(classes) == 283
 
 
 def test_quotient_word_length_reachability():

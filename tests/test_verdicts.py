@@ -1,5 +1,7 @@
 """Orderability verdicts, the self-distributive dichotomy, and reports."""
 
+import random
+
 import pytest
 
 from ybe import (
@@ -10,6 +12,7 @@ from ybe import (
     enumerate_solutions,
     finite_quotient,
     involutive_orderability,
+    perm,
     sd_dichotomy,
     sd_solutions,
     structure_presentation,
@@ -17,7 +20,7 @@ from ybe import (
     verify_solution,
 )
 from ybe.core import Solution, rack_orbits, solution_orbits
-from ybe.derived import structure_racks
+from ybe.derived import relabel_solution, structure_racks
 from ybe.errors import CosetLimitExceeded, NotInvolutive
 from ybe.fixtures import fixture_rack, fixture_solution
 from ybe.fpgroups import DEFAULT_COSET_CAP
@@ -403,3 +406,18 @@ def test_analyze_builds_the_retraction_tower_once(monkeypatch):
     # mp_level and involutive_orderability share one tower; its single
     # level is a quotient solution, which is not validated again
     assert calls == ["retraction"]
+
+
+def test_analyze_does_not_depend_on_labels(fixture_and_sd_solutions):
+    # relabeling by f moves the degrees of x to f(x) and leaves every other
+    # field of the report as it was
+    rng = random.Random(28)
+    solutions = list(fixture_and_sd_solutions)
+    solutions += [s for n in (2, 3, 4) for s in enumerate_solutions(n, bound=n).representatives]
+    for s in solutions:
+        f = tuple(rng.sample(range(s.n), s.n))
+        expected = analyze(s).to_dict()
+        for key in ("degrees_d", "degrees_D"):
+            expected[key] = tuple(expected[key][x] for x in perm.inverse(f))
+        assert analyze(relabel_solution(s, f)).to_dict() == expected, (s, f)
+    assert len(solutions) == 311
