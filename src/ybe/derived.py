@@ -4,8 +4,9 @@ retraction tower, cabling, and isomorphism testing.
 Every construction here returns a solution or rack by theorem, so each is
 built with the plain Solution / Rack constructor and is not validated again;
 quotients check only that their classes form a congruence.  Canonical
-forms, isomorphisms and automorphism counts come from one row-by-row filter
-over the relabelings (_least_relabelings), which builds no objects.
+forms, isomorphisms and automorphism counts come from one pass over the
+relabelings (_least_relabelings), a gather per first point and a translate
+per relabeling, which builds no objects.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from functools import lru_cache
 from . import perm
 from .core import BYTE_BOUND, Frozen, Rack, Solution, Table, _derived_op, per_input, t_map_of
 from .errors import InvariantViolation, SizeTooLarge
-from .words import _twisted_actions, structure_rho
 
 ISO_BOUND = 6  # n! relabelings are tried
 
@@ -46,6 +46,7 @@ def structure_racks(s: Solution) -> StructureRackPair:
     is its transpose, words.structure_rho: y <_r x = sigma_y(tau_w(x)) =
     x < y, w = sigma_x^{-1}(y), as r(x, w) = (y, tau_w(x)).
     """
+    from .words import structure_rho
     right = Rack(s.n, tuple(map(tuple, _derived_op(s))))
     return StructureRackPair(right, structure_rho(s), t_map_of(s), sq_map(right))
 
@@ -152,6 +153,7 @@ def cable(s: Solution, m: int) -> Solution:
     X^m restricted to the twisted diagonal x -> x^[m]; it is a solution and
     is not validated again.
     """
+    from .words import _twisted_actions
     if m < 1:
         raise ValueError("m must be a positive integer")
     t_fwd = perm.power(t_map_of(s), m - 1)
@@ -189,24 +191,30 @@ def relabel_rack(rk: Rack, f: perm.Perm) -> Rack:
 
 
 @lru_cache(maxsize=None)
-def _relabelings(n: int) -> tuple[tuple[tuple[bytes, bytes], ...], ...]:
-    """(g, f + pad) for every g in S_n, f = g^{-1}, as byte strings, in
-    blocks by g_0: a constant table of each n, so it is cached by n."""
+def _relabelings(n: int, k: int) -> tuple[tuple[bytes, tuple[bytes, ...], tuple[tuple[bytes, bytes], ...]], ...]:
+    """For each first point x, over the g in S_n with g_0 = x: the positions
+    that gather k flattened n x n tables into their relabelings by g,
+    joined; each f + pad, f = g^{-1}; and each (g, f + pad), as byte
+    strings.  A constant of n and k, so it is cached."""
     pad = bytes(BYTE_BOUND - n)
-    pairs = [(bytes(g), bytes(perm.inverse(g)) + pad) for g in perm.all_perms(n)]
-    return tuple(tuple(gf for gf in pairs if gf[0][0] == x) for x in range(n))
+    blocks: list[tuple[list[bytes], list[tuple[bytes, bytes]]]] = [([], []) for _ in range(n)]
+    for g in perm.all_perms(n):
+        positions, pairs = blocks[g[0]]
+        positions.append(bytes(t * n * n + a * n + b for t in range(k) for a in g for b in g))
+        pairs.append((bytes(g), bytes(perm.inverse(g)) + pad))
+    return tuple((b"".join(pos), tuple(f for _, f in pairs), tuple(pairs)) for pos, pairs in blocks)
 
 
 def _least_relabelings(obj: Solution | Rack) -> tuple[bytes, list[tuple[bytes, bytes]]]:
     """The least flattened table over all n! relabelings, and the (g, f + pad)
     that give it.
 
-    Relabeled by f = g^{-1}, row i of a table t is f(t[g_i][g_j]) over j, the
-    byte string g.translate(t[g_i] + pad).translate(f + pad).  Rows are read
-    in flattened order (sigma rows, then tau rows), and only the relabelings
-    whose row equals the least one are kept: a flattened table is least
-    exactly when each of its rows is least given the rows before it.  The
-    survivors of the last row are g_0 Aut(obj), for any one survivor g_0.
+    Relabeled by f = g^{-1}, entry (i, j) of a table t is f(t[g_i][g_j]).
+    With the tables flattened into one byte string T (sigma, then tau),
+    that is f applied to T read at g's positions.  The positions of every g
+    with the same g_0 are joined, so one translate by T gathers the whole
+    block, and one translate by f per g relabels its chunk.  The survivors,
+    the g whose table is least, are g_0 Aut(obj), for any one survivor g_0.
 
     First-point cut: relabeled row 0 of the first table t has a zero for
     each y with t[g_0][y] = g_0.  If t[g_0][g_0] = g_0 they can all lead
@@ -218,20 +226,24 @@ def _least_relabelings(obj: Solution | Rack) -> tuple[bytes, list[tuple[bytes, b
     n = obj.n
     if n > ISO_BOUND:
         raise SizeTooLarge(f"isomorphism search bound is {ISO_BOUND}, got size {n}")
-    pad = bytes(BYTE_BOUND - n)
     tables = _tables(obj)
+    size = len(tables) * n * n
+    flat = b"".join(bytes(row) for t in tables for row in t) + bytes(BYTE_BOUND - size)
     zeros = {x: tables[0][x].count(x) for x in range(n) if tables[0][x][x] == x}
     most = max(zeros.values(), default=0)  # with no such a, every g_0 is tried
-    live = [gf for x in range(n) if zeros.get(x, 0) == most for gf in _relabelings(n)[x]]
-    least = []
-    for t in tables:
-        padded = [bytes(row) + pad for row in t]
-        for i in range(n):
-            rows = [g.translate(padded[g[i]]).translate(f) for g, f in live]
-            row = min(rows)
-            live = [gf for gf, r in zip(live, rows) if r == row]
-            least.append(row)
-    return b"".join(least), live
+    least, live = None, []
+    for x, (positions, fs, pairs) in enumerate(_relabelings(n, len(tables))):
+        if zeros.get(x, 0) != most:
+            continue
+        gathered = positions.translate(flat)
+        chunks = [gathered[i:i + size] for i in range(0, len(gathered), size)]
+        relabeled = list(map(bytes.translate, chunks, fs))
+        best = min(relabeled)
+        if least is None or best < least:
+            least, live = best, []
+        if best == least:
+            live += [gf for gf, t in zip(pairs, relabeled) if t == best]
+    return least, live
 
 
 def canonical_form(obj: Solution | Rack) -> tuple[int, ...]:

@@ -2,6 +2,14 @@
 Smith normal form, Todd-Coxeter coset enumeration, the canonical finite
 quotient and injectivity testing.
 
+When a presentation has a pure power relator g^k, as the quotients of racks
+and self-distributive solutions do, Ḡ is first enumerated over the cosets of
+<g>.  With m of them, |Ḡ| <= m k; when g acts on them with order k, the
+action is faithful and certifies |Ḡ| = m k (the proof is in
+coset_enumeration), and for m <= 256 a breadth-first search of that
+permutation group, one bytes.translate per edge, gives the regular action.
+Otherwise Felsch enumerates the cosets of the trivial subgroup.
+
 A finite quotient is held as its generators' action on its cosets; its
 fingerprint and the verdicts read that action and the quotient's own
 presentation, and the multiplication table is built only to be printed."""
@@ -14,12 +22,13 @@ from collections.abc import Iterable, Sequence
 from functools import cached_property
 
 from . import perm
-from .core import Frozen, Rack, Solution, is_biquandle, per_input, sd_solutions, solution_orbits
+from .core import BYTE_BOUND, Frozen, Rack, Solution, is_biquandle, per_input, sd_solutions, solution_orbits
 from .derived import _quotient_solution, induced_biquandle
 from .errors import CosetLimitExceeded, InvariantViolation
 from .words import Word, _rack_degree, degrees, free_reduce
 
 DEFAULT_COSET_CAP = 10**6
+_POWER_LIVE = 16 * BYTE_BOUND  # live cosets of <g> at most; past them _felsch runs instead
 
 
 class Presentation(Frozen):
@@ -270,6 +279,21 @@ class _CosetTable:
                 else:
                     self._set(mu * nsym, x, nu * nsym)
 
+    def fill(self) -> None:
+        """Felsch: define the first undefined entry, then scan every relator
+        cycle through each new entry before the next definition."""
+        t, p, nsym = self.table, self.p, self.nsym
+        self.process_deductions()
+        c = 0
+        while c < len(p):
+            for x in range(nsym):
+                if p[c] != c:
+                    break
+                if t[c * nsym + x] < 0:
+                    self.define(c * nsym, x)
+                    self.process_deductions()
+            c += 1
+
     def process_deductions(self) -> None:
         """Scan the relator cycles through each queued entry a.x = b, while
         a is live: those that begin with x, traced from b after their first
@@ -326,25 +350,33 @@ def coset_enumeration(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> list[per
     symbols g0, g0^-1, g1, g1^-1, ..., so the result depends only on the
     group and its generators, not on how the table was filled.
 
-    The Felsch strategy fills the first undefined entry, then scans every
-    relator through each new entry before the next definition.  The closing
-    check traces every relator at every coset.  The relators in
-    p.implied are traced at coset 0 only: the table of the enumerated
-    relators is the regular action, coset c being the element g_c, so a
-    word fixes c exactly when it is trivial, exactly when it fixes 0.
+    When a relator is a pure power g^k (the first one), the cosets of
+    H = <g> are enumerated first (_power_action).  The completed table is
+    Ḡ's action on its m = [Ḡ:H] cosets of H: every relator holds on it, so
+    its image G' is a quotient of Ḡ; G' is transitive, and the stabilizer
+    of coset 0 is the image <g'> of H, g' the permutation by which g acts,
+    so |G'| = m ord(g').  And |Ḡ| = m |H| <= m k, as g^k is a relator.  So
+    when ord(g') = k, |G'| = m k >= |Ḡ| >= |G'|: the action is faithful and
+    G' is Ḡ.  A breadth-first search of G' from the identity over the
+    symbols in standard order then numbers Ḡ's elements, coset c being the
+    element reached c-th, and right multiplication by each generator is the
+    regular action.  Otherwise (m > 256, or ord(g') < k) _felsch enumerates
+    the cosets of the trivial subgroup directly.
     """
-    ct = _CosetTable(p, cap)
+    power = next((w for w in p.relators if len(set(w)) == 1), None)
+    if power is not None:
+        action = _power_action(p, power[0][0], len(power), cap)
+        if action is not None:
+            return action
+    return _felsch(p, cap)
+
+
+def _closed_action(p: Presentation, ct: _CosetTable) -> list[perm.Perm]:
+    """Each symbol's action on the live cosets of the filled table `ct`,
+    renumbered breadth-first from coset 0 over the symbols in order, after
+    the closing check: every entry is defined, each generator acts as a
+    permutation and every relator fixes every coset."""
     t, nsym = ct.table, ct.nsym
-    c = 0
-    while c < len(ct.p):
-        for x in range(nsym):
-            if ct.p[c] != c:
-                break
-            if t[c * nsym + x] < 0:
-                ct.define(c * nsym, x)
-                ct.process_deductions()
-        c += 1
-    # renumber the live cosets in standard order
     new = [-1] * len(ct.p)
     new[0] = 0
     order = [0]
@@ -367,6 +399,21 @@ def coset_enumeration(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> list[per
             cur = list(map(sym[x].__getitem__, cur))
         if cur != ident:
             raise InvariantViolation(f"relator {w} fails on the coset table")
+    return sym
+
+
+def _felsch(p: Presentation, cap: int) -> list[perm.Perm]:
+    """coset_enumeration over the trivial subgroup, by the Felsch strategy
+    (_CosetTable.fill), with the closing check of _closed_action.
+
+    The relators in p.implied are traced at coset 0 only: the table of the
+    enumerated relators is the regular action, coset c being the element
+    g_c, so a word fixes c exactly when it is trivial, exactly when it
+    fixes 0.
+    """
+    ct = _CosetTable(p, cap)
+    ct.fill()
+    sym = _closed_action(p, ct)
     for w in p.implied:
         c = 0
         for x in _word_to_symbols(w):
@@ -374,6 +421,84 @@ def coset_enumeration(p: Presentation, cap: int = DEFAULT_COSET_CAP) -> list[per
         if c:
             raise InvariantViolation(f"implied relator {w} fails at the identity coset")
     return sym[::2]
+
+
+def _power_action(p: Presentation, g: int, k: int, cap: int) -> list[perm.Perm] | None:
+    """coset_enumeration from the m cosets of <g>, g^k being a relator of p,
+    when they certify |Ḡ| = m k; else None.
+
+    Felsch enumerates them with the one seeded entry 0.g = 0, at most
+    _POWER_LIVE cosets live, and each symbol's action on them becomes a
+    byte row padded to a translate table.  An element of G' is held as its
+    images of a base, a set of points that only the identity fixes.  g'^j
+    fixes a point exactly when the length of the point's cycle divides j.
+    So 0 and one point of each cycle of g' that raises the lcm of the
+    lengths are a base: an element fixing 0 lies in <g'>, the stabilizer of
+    0, and the power of g' that fixes the other points is a power of the
+    lcm, ord(g').  The implied relators are checked at the identity, the
+    base itself, as _felsch checks them at coset 0.
+
+    The search keeps only the generator columns; the inverse symbols are
+    followed for the order alone.  It must reach exactly m k elements,
+    which checks that the stabilizer of coset 0 is <g'>.  A certified order
+    above `cap` raises CosetLimitExceeded, as a search stopped at element
+    cap + 1 would, with cap cosets defined and live.
+    """
+    ct = _CosetTable(p, min(cap, _POWER_LIVE))
+    ct._set(0, 2 * g, 0)
+    try:
+        ct.fill()
+    except CosetLimitExceeded:
+        return None
+    if ct.live > BYTE_BOUND:
+        return None
+    sym = _closed_action(p, ct)
+    m = len(sym[0])
+    base, lcm = [0], 1
+    for cyc in perm.cycles(sym[2 * g]):
+        if lcm % len(cyc):
+            base.append(cyc[0])
+            lcm = math.lcm(lcm, len(cyc))
+    if lcm != k:
+        return None
+    pad = bytes(range(m, BYTE_BOUND))
+    rows = [bytes(s) + pad for s in sym]
+    ident = bytes(base)
+    for w in p.implied:
+        cur = ident
+        for x in _word_to_symbols(w):
+            cur = cur.translate(rows[x])
+        if cur != ident:
+            raise InvariantViolation(f"implied relator {w} fails at the identity coset")
+    order = m * k
+    if order > cap:
+        raise CosetLimitExceeded(cap, cap, cap)
+    # the coset numbers are made before the search, so that no int the
+    # columns keep shares heap with the keys that the search frees
+    numbers = list(range(order))
+    index = {ident: 0}
+    elements = [ident]
+    columns = [[0] * order for _ in range(p.generator_count)]
+    gens = list(zip(columns, rows[::2], rows[1::2]))
+    try:
+        for c, e in enumerate(elements):
+            for col, fwd, back in gens:
+                f = e.translate(fwd)
+                i = index.get(f)
+                if i is None:
+                    i = index[f] = numbers[len(elements)]
+                    elements.append(f)
+                col[c] = i
+                b = e.translate(back)
+                if b not in index:
+                    index[b] = numbers[len(elements)]
+                    elements.append(b)
+    except IndexError:
+        raise InvariantViolation(f"the coset action has more than {order} elements") from None
+    if len(elements) != order:
+        raise InvariantViolation(f"the coset action has {len(elements)} elements, not {order}")
+    del index, elements
+    return [tuple(col) for col in columns]
 
 
 # ---------------------------------------------------------------------------

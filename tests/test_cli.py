@@ -199,7 +199,7 @@ _QUOTIENT_MODULES = [*_CABLE_MODULES, "fpgroups"]
     (["check", "rack/dihedral3"], _BASE_MODULES),
     (["catalog"], _BASE_MODULES),
     (["cable", "solution/dihedral3-sd", "-m", "2"], _CABLE_MODULES),
-    (["enumerate", "--size", "3"], ["census", "core", "derived", "errors", "perm", "words"]),
+    (["enumerate", "--size", "3"], ["census", "core", "derived", "errors", "perm"]),
     (["quotient", "rack/dihedral3"], _QUOTIENT_MODULES),
     (["analyze", "rack/dihedral3"], [*_QUOTIENT_MODULES, "verdicts"]),
 ], ids=["check", "catalog", "cable", "enumerate", "quotient", "analyze"])
@@ -234,6 +234,24 @@ def test_quotient_coset_cap(capsys):
     code, _, err = run(capsys, "quotient", "solution/invol3-b", "--coset-cap", "5")
     assert code == EXIT_RESOURCE
     assert "resource limit" in err
+
+
+def test_quotient_coset_cap_trips_in_the_power_subgroup_search(capsys, monkeypatch):
+    # GL(2,3) is certified from the cosets of a powered generator, so its 48
+    # elements are numbered by the breadth-first search, which a cap of 47
+    # stops; _felsch never runs
+    from ybe import fpgroups
+
+    def no_felsch(p, cap):
+        raise AssertionError("the power subgroup path should decide this quotient")
+
+    monkeypatch.setattr(fpgroups, "_felsch", no_felsch)
+    code, out, err = run(capsys, "quotient", "rack/12pt-gl23", "--coset-cap", "47")
+    assert code == EXIT_RESOURCE == 2
+    assert out == ""
+    assert err == "resource limit: coset enumeration exceeded the cap of 47 cosets (47 defined, 47 live)\n"
+    code, out, _ = run(capsys, "quotient", "rack/12pt-gl23", "--coset-cap", "48")
+    assert code == EXIT_OK and out.startswith("order: 48\n")
 
 
 def test_quotient_env_cap(capsys, monkeypatch):

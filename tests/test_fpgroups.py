@@ -25,7 +25,9 @@ from ybe import (
 from ybe.errors import CosetLimitExceeded, InvariantViolation, UnknownName
 from ybe.fixtures import fixture_rack, fixture_solution
 from ybe.fpgroups import (
+    DEFAULT_COSET_CAP,
     _exponent_matrix,
+    _quotient_presentation,
     _snf_diagonalize,
     coset_enumeration,
     group_from_actions,
@@ -221,6 +223,22 @@ def test_coset_cap_enforced():
 
 
 @pytest.fixture
+def felsch_calls(monkeypatch):
+    """The presentation of each call to _felsch during the test."""
+    from ybe import fpgroups
+
+    calls = []
+    real_felsch = fpgroups._felsch
+
+    def counting_felsch(p, cap):
+        calls.append(p)
+        return real_felsch(p, cap)
+
+    monkeypatch.setattr(fpgroups, "_felsch", counting_felsch)
+    return calls
+
+
+@pytest.fixture
 def cosets_defined(monkeypatch):
     """One entry per coset that enumeration defines during the test."""
     from ybe import fpgroups
@@ -236,12 +254,98 @@ def cosets_defined(monkeypatch):
     return calls
 
 
-def test_coset_cap_counts_live_cosets(cosets_defined):
-    # affine Z_17, a = 3 defines more cosets than the cap, but coincidences
-    # keep the live ones below it
-    fg, _ = finite_quotient(_affine_sd(17, 3), 1000)
-    assert fg.order == 272
+def test_coset_cap_counts_live_cosets(cosets_defined, felsch_calls):
+    # Felsch over the quotient relators of affine Z_17, a = 3 defines more
+    # cosets than the cap, but coincidences keep the live ones below it.
+    # The power relator g^k is written conjugated, h g^k h^-1, so no relator
+    # is a pure power and _felsch runs; cyclically reduced, its relator
+    # cycles are those of g^k
+    fg, _ = finite_quotient(_affine_sd(17, 3))
+    *pairs, power = fg.presentation.relators
+    assert len(set(power)) == 1
+    h = (power[0][0] + 1) % 17
+    pres = Presentation(17, (*pairs, ((h, 1), *power, (h, -1))), fg.presentation.implied)
+    cosets_defined.clear()
+    assert coset_enumeration(pres, 1000) == list(fg.actions)
+    assert felsch_calls == [pres]
+    assert len(fg.actions[0]) == 272
     assert len(cosets_defined) > 1000
+
+
+def test_power_subgroup_defines_few_cosets_on_affine_z17(cosets_defined, felsch_calls):
+    # Felsch over the trivial subgroup defines 1,154 cosets here for index
+    # 272; over <g> it enumerates the 17 cosets of the power subgroup
+    fg, _ = finite_quotient(_affine_sd(17, 3))
+    assert fg.order == 272
+    assert len(cosets_defined) <= 2 * 17
+    assert felsch_calls == []
+
+
+def _commutator(a, b):
+    return ((a, 1), (b, 1), (a, -1), (b, -1))
+
+
+@pytest.mark.parametrize("third", [
+    _commutator(0, 1),  # Z/2 x Z/300
+    word_of(0, 1, 0, 1),  # dihedral: <a> has trivial core, but index 300
+], ids=["abelian", "dihedral"])
+def test_more_than_256_cosets_of_the_power_subgroup_take_felsch(felsch_calls, third):
+    pres = Presentation(2, (word_of(0, 0), word_of(*[1] * 300), third))
+    actions = coset_enumeration(pres)
+    assert felsch_calls == [pres]
+    assert len(actions[0]) == 600
+    assert actions == standardize(hlt_enumeration(pres))
+
+
+def test_an_image_smaller_than_m_k_takes_felsch(felsch_calls):
+    # S3 = <a, b | b^3, a^2, (ab)^2>: <b> is normal, so b fixes both of its
+    # cosets and the image has 2 elements, not 2 * 3
+    s3 = (word_of(1, 1, 1), word_of(0, 0), word_of(0, 1, 0, 1))
+    pres = Presentation(2, s3)
+    actions = coset_enumeration(pres)
+    assert felsch_calls == [pres] and len(actions[0]) == 6
+    # with a^2 first, <a> has trivial core: its 3 cosets certify the order
+    swapped = Presentation(2, (s3[1], s3[0], s3[2]))
+    assert coset_enumeration(swapped) == actions
+    assert felsch_calls == [pres]
+
+
+def test_the_power_subgroup_path_checks_implied_relators(felsch_calls):
+    # S3 from the cosets of <a>, with b^2 claimed implied: b acts on the
+    # three cosets as a 3-cycle, so the faithful action refutes it
+    s3 = (word_of(0, 0), word_of(1, 1, 1), word_of(0, 1, 0, 1))
+    with pytest.raises(InvariantViolation, match="implied relator"):
+        coset_enumeration(Presentation(2, s3, implied=(word_of(1, 1),)))
+    assert len(coset_enumeration(Presentation(2, s3, implied=(word_of(*[1] * 6),)))[0]) == 6
+    assert felsch_calls == []
+
+
+def test_subgroup_path_agrees_with_felsch(all_fixture_objects, racks4, felsch_calls):
+    # every fixture, both SD solutions of each rack class with n <= 5, the
+    # solution census with n <= 4, and affine Z_p with p <= 31 at a = 2 and
+    # a = -1: the subgroup path and _felsch give the same action
+    from ybe import fpgroups
+
+    racks = [rk for rk in all_fixture_objects.values() if isinstance(rk, Rack)]
+    racks += [rk for n in (1, 2, 3) for rk in enumerate_racks(n).representatives]
+    racks += racks4.representatives + enumerate_racks(5, bound=5).representatives
+    solutions = [s for s in all_fixture_objects.values() if isinstance(s, Solution)]
+    solutions += [s for rk in racks for s in sd_solutions(rk)]
+    solutions += [s for n in range(1, 5) for s in enumerate_solutions(n, bound=4).representatives]
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    solutions += [_affine_sd(p, a) for p in primes for a in {2 % p, p - 1} if a > 1]
+    # the presentations that finite_quotient enumerates, built without it
+    bqs = [s if is_biquandle(s) else induced_biquandle(s)[0] for s in solutions]
+    presentations = [_quotient_presentation(s, degrees(s).twisted_powers) for s in bqs]
+    presentations += [rack_finite_quotient(rk).presentation for rk in all_fixture_objects.values()
+                      if isinstance(rk, Rack)]
+    presentations = list(dict.fromkeys(presentations))
+    reference = [fpgroups._felsch(pres, DEFAULT_COSET_CAP) for pres in presentations]
+    felsch_calls.clear()
+    for pres, actions in zip(presentations, reference):
+        assert coset_enumeration(pres) == actions, pres
+    certified = len(presentations) - len(felsch_calls)
+    assert (len(presentations), certified) == (193, 65)
 
 
 def test_a_failing_implied_relator_is_a_typed_error():
@@ -702,10 +806,20 @@ def test_felsch_defines_few_cosets_on_affine_z29(cosets_defined):
     assert len(cosets_defined) <= 2 * 812
 
 
+@pytest.mark.slow
+def test_affine_z197_quotient_from_the_power_subgroup(felsch_calls):
+    # index 197 * ord_197(2) = 197 * 196: certified from the 197 cosets of
+    # <g>, so _felsch (about 29 s on a shared 2-core host) never runs
+    fg, iota = finite_quotient(_affine_sd(197, 2))
+    assert fg.order == 38_612 == 197 * 196
+    assert felsch_calls == []
+    assert len(set(iota)) == 197
+    assert {fg.element_order(a) for a in iota[:3]} == {196}
+    assert fg.abelian_invariants == (196,)
+
+
 def test_left_quandle_quotient_has_the_plain_power_presentation(all_fixture_objects):
     # tau = id and T = id, so d_x = D_x and each twisted power is x^{D_x}
-    from ybe.fpgroups import _quotient_presentation
-
     quandles = [rk for rk in all_fixture_objects.values() if isinstance(rk, Rack) and rk.is_quandle]
     quandles += [rk for n in range(1, 6)
                  for rk in enumerate_racks(n, quandles_only=True, bound=5).representatives]
