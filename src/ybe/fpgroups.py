@@ -182,6 +182,7 @@ def _word_to_symbols(w: Word) -> list[int]:
     return [2 * g if e > 0 else 2 * g + 1 for g, e in w]
 
 
+@per_input
 def _relator_cycles(p: Presentation) -> tuple[tuple[tuple[tuple[int, ...], tuple[int, ...]], ...], ...]:
     """For each symbol x, the distinct cyclic conjugates w = x u that begin
     with x of the relators and their inverses, each relator cyclically
@@ -512,9 +513,9 @@ class FiniteGroup(Frozen):
 
     Coset c is the element g_c with 0.g_c = c, so coset 0 is the identity and
     actions[x] is right multiplication by generator x.  A breadth-first
-    Schreier tree from coset 0 spells each g_c as a word in the generators;
-    element orders are traced along the actions, and the N x N table `mult`
-    is built only when it is asked for.
+    Schreier tree from coset 0 over the generators spells each g_c as a
+    positive word (in a finite group g^-1 = g^(ord g - 1)), so no inverse
+    table is built; the N x N table `mult` is built only when asked for.
     """
 
     actions: tuple[perm.Perm, ...]
@@ -529,35 +530,31 @@ class FiniteGroup(Frozen):
         return tuple(act[0] for act in self.actions)
 
     @cached_property
-    def _symbols(self) -> tuple[perm.Perm, ...]:
-        """Right multiplication by symbol 2x (generator x) and 2x+1 (its inverse)."""
-        return tuple(a for act in self.actions for a in (act, perm.inverse(act)))
-
-    @cached_property
-    def _tree(self) -> tuple[list[int], list[int], list[int]]:
+    def _tree(self) -> tuple[list[int], list[int], list[perm.Perm]]:
         """(the cosets in breadth-first order, the parent of each coset in
-        the tree, and the symbol on the edge from that parent)."""
-        parent, edge = [-1] * self.order, [-1] * self.order
+        the tree, and the action of the generator on the edge from it)."""
+        parent, edge = [-1] * self.order, [()] * self.order
         parent[0] = 0
         bfs = [0]
         for c in bfs:
-            for s, act in enumerate(self._symbols):
+            for act in self.actions:
                 d = act[c]
                 if parent[d] < 0:
-                    parent[d], edge[d] = c, s
+                    parent[d], edge[d] = c, act
                     bfs.append(d)
         return bfs, parent, edge
 
     def element_order(self, a: int) -> int:
+        """The order of g_a: the least k >= 1 with 0.g_a^k = 0, along its tree word."""
         _, parent, edge = self._tree
         word, c = [], a
-        while c:  # the symbols of g_a, from a up the tree to coset 0
+        while c:  # the generators of g_a, from a up the tree to coset 0
             word.append(edge[c])
             c = parent[c]
         k, c = 1, a
         while c:
-            for s in reversed(word):
-                c = self._symbols[s][c]
+            for act in reversed(word):
+                c = act[c]
             k += 1
         return k
 
@@ -580,14 +577,16 @@ class FiniteGroup(Frozen):
         subgroup order, conjugacy class sizes).
 
         The left multiplication c -> x.g_c by a generator x is filled in down
-        the tree, as x.g_c = (x.g_parent).s for the edge symbol s.  g_c is
+        the tree, as x.g_c = (x.g_parent).s for the edge generator s.  g_c is
         central when x.g_c = g_c.x for every generator x.  Since x.g and g.x
         are conjugate, joining the two for every g and x gives the conjugacy
         classes, and an element order is traced once per class.  The derived
         subgroup has index |abelianization|.
         """
         bfs, parent, edge = self._tree
-        n, sym = self.order, self._symbols
+        n = self.order
+        # the tree's edges in breadth-first order, so that each fill reads them in sequence
+        steps = bfs[1:], [parent[c] for c in bfs[1:]], [edge[c] for c in bfs[1:]]
         central = [True] * n
         root = list(range(n))  # union-find forest; a root is its class's least coset
 
@@ -599,8 +598,8 @@ class FiniteGroup(Frozen):
 
         for act in self.actions:
             left = [act[0]] * n
-            for c in bfs[1:]:
-                left[c] = sym[edge[c]][left[parent[c]]]
+            for c, p, s in zip(*steps):
+                left[c] = s[left[p]]
             for c in range(n):
                 if left[c] != act[c]:
                     central[c] = False
@@ -629,7 +628,7 @@ class FiniteGroup(Frozen):
         bfs, parent, edge = self._tree
         columns = [perm.identity(self.order)] * self.order
         for c in bfs[1:]:
-            columns[c] = perm.compose(self._symbols[edge[c]], columns[parent[c]])
+            columns[c] = perm.compose(edge[c], columns[parent[c]])
         return tuple(zip(*columns))
 
 

@@ -26,6 +26,8 @@ from ybe.errors import CosetLimitExceeded, InvariantViolation, UnknownName
 from ybe.fixtures import fixture_rack, fixture_solution
 from ybe.fpgroups import (
     DEFAULT_COSET_CAP,
+    _closed_action,
+    _CosetTable,
     _exponent_matrix,
     _quotient_presentation,
     _snf_diagonalize,
@@ -310,6 +312,40 @@ def test_an_image_smaller_than_m_k_takes_felsch(felsch_calls):
     assert felsch_calls == [pres]
 
 
+def test_a_power_subgroup_past_its_live_cap_takes_felsch(monkeypatch, felsch_calls):
+    # <a> has 3 cosets in S3 = <a, b | a^2, b^3, (ab)^2>; with at most 2
+    # live the <a> table gives up and _felsch enumerates S3 itself
+    from ybe import fpgroups
+
+    pres = Presentation(2, (word_of(0, 0), word_of(1, 1, 1), word_of(0, 1, 0, 1)))
+    monkeypatch.setattr(fpgroups, "_POWER_LIVE", 2)
+    actions = coset_enumeration(pres)
+    assert felsch_calls == [pres]
+    assert actions == fpgroups._felsch(pres, DEFAULT_COSET_CAP)
+    assert len(actions[0]) == 6
+
+
+def _table(pres, images):
+    """A _CosetTable of pres whose coset c sends symbol x to images[x][c]."""
+    ct = _CosetTable(pres, 10)
+    m = len(images[0])
+    ct.table = [images[x][c] * ct.nsym for c in range(m) for x in range(ct.nsym)]
+    ct.p = list(range(m))
+    return ct
+
+
+def test_closing_check_rejects_a_table_that_is_not_an_action():
+    cube = Presentation(1, (word_of(0, 0, 0),))
+    assert _closed_action(cube, _table(cube, [(1, 2, 0), (2, 0, 1)])) == [(1, 2, 0), (2, 0, 1)]
+    with pytest.raises(InvariantViolation, match="coset 0 has an undefined entry"):
+        _closed_action(cube, _CosetTable(cube, 10))
+    with pytest.raises(InvariantViolation, match="generator 0 does not act as a permutation"):
+        _closed_action(cube, _table(cube, [(1, 1), (1, 0)]))
+    square = Presentation(1, (word_of(0, 0),))
+    with pytest.raises(InvariantViolation, match="relator .* fails on the coset table"):
+        _closed_action(square, _table(square, [(1, 2, 0), (2, 0, 1)]))
+
+
 def test_the_power_subgroup_path_checks_implied_relators(felsch_calls):
     # S3 from the cosets of <a>, with b^2 claimed implied: b acts on the
     # three cosets as a 3-cycle, so the faithful action refutes it
@@ -320,12 +356,12 @@ def test_the_power_subgroup_path_checks_implied_relators(felsch_calls):
     assert felsch_calls == []
 
 
-def test_subgroup_path_agrees_with_felsch(all_fixture_objects, racks4, felsch_calls):
-    # every fixture, both SD solutions of each rack class with n <= 5, the
-    # solution census with n <= 4, and affine Z_p with p <= 31 at a = 2 and
-    # a = -1: the subgroup path and _felsch give the same action
-    from ybe import fpgroups
-
+@pytest.fixture(scope="module")
+def quotient_presentations(all_fixture_objects, racks4):
+    """The distinct presentations that finite_quotient enumerates, built
+    without it, of every fixture, both SD solutions of each rack class with
+    n <= 5, the solution census with n <= 4, and affine Z_p with p <= 31 at
+    a = 2 and a = -1."""
     racks = [rk for rk in all_fixture_objects.values() if isinstance(rk, Rack)]
     racks += [rk for n in (1, 2, 3) for rk in enumerate_racks(n).representatives]
     racks += racks4.representatives + enumerate_racks(5, bound=5).representatives
@@ -334,18 +370,41 @@ def test_subgroup_path_agrees_with_felsch(all_fixture_objects, racks4, felsch_ca
     solutions += [s for n in range(1, 5) for s in enumerate_solutions(n, bound=4).representatives]
     primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
     solutions += [_affine_sd(p, a) for p in primes for a in {2 % p, p - 1} if a > 1]
-    # the presentations that finite_quotient enumerates, built without it
     bqs = [s if is_biquandle(s) else induced_biquandle(s)[0] for s in solutions]
     presentations = [_quotient_presentation(s, degrees(s).twisted_powers) for s in bqs]
     presentations += [rack_finite_quotient(rk).presentation for rk in all_fixture_objects.values()
                       if isinstance(rk, Rack)]
-    presentations = list(dict.fromkeys(presentations))
+    return list(dict.fromkeys(presentations))
+
+
+def test_subgroup_path_agrees_with_felsch(quotient_presentations, felsch_calls):
+    # the subgroup path and _felsch give the same action
+    from ybe import fpgroups
+
+    presentations = quotient_presentations
     reference = [fpgroups._felsch(pres, DEFAULT_COSET_CAP) for pres in presentations]
     felsch_calls.clear()
     for pres, actions in zip(presentations, reference):
         assert coset_enumeration(pres) == actions, pres
     certified = len(presentations) - len(felsch_calls)
     assert (len(presentations), certified) == (193, 65)
+
+
+def test_relator_cycles_are_built_once_per_presentation(quotient_presentations, felsch_calls):
+    # 102 of the 167 presentations with a power relator fall back to
+    # _felsch, which reads the cycles that the <g> table built
+    from ybe import fpgroups
+
+    fresh = [Presentation(p.generator_count, p.relators, p.implied) for p in quotient_presentations]
+    before = fpgroups._relator_cycles.cache_info()
+    for pres in fresh:
+        coset_enumeration(pres)
+    after = fpgroups._relator_cycles.cache_info()
+    powered = [pres for pres in fresh if any(len(set(w)) == 1 for w in pres.relators)]
+    fallbacks = [pres for pres in felsch_calls if pres in powered]
+    assert (len(fresh), len(powered), len(fallbacks)) == (193, 167, 102)
+    assert after.misses - before.misses == len(fresh)
+    assert after.hits - before.hits == len(fallbacks)
 
 
 def test_a_failing_implied_relator_is_a_typed_error():
@@ -634,6 +693,27 @@ def test_closing_check_inverts_each_generator_once(monkeypatch):
     assert len(calls) <= s.n
 
 
+def test_the_group_reads_no_inverse_action(monkeypatch):
+    # the Schreier tree walks the generators alone: fingerprint, element
+    # orders and the Cayley table invert no action
+    from ybe import perm
+
+    fg = rack_finite_quotient(fixture_rack("rack/12pt-gl23"))
+    fg = group_from_actions(fg.actions, fg.presentation)
+    calls = []
+    real_inverse = perm.inverse
+
+    def counting_inverse(p):
+        calls.append(p)
+        return real_inverse(p)
+
+    monkeypatch.setattr(perm, "inverse", counting_inverse)
+    assert fg.fingerprint == reference_group("GL(2,3)").fingerprint
+    assert tuple(sorted(map(fg.element_order, range(48)))) == fg.fingerprint[2]
+    assert len(fg.mult) == 48
+    assert calls == []
+
+
 def test_fingerprint_scans_each_row_for_the_identity_once():
     scans = []
 
@@ -816,6 +896,24 @@ def test_affine_z197_quotient_from_the_power_subgroup(felsch_calls):
     assert len(set(iota)) == 197
     assert {fg.element_order(a) for a in iota[:3]} == {196}
     assert fg.abelian_invariants == (196,)
+
+
+@pytest.mark.slow
+def test_affine_z197_quotient_command_output(tmp_path, capsys):
+    # the whole `ybe quotient` stdout, fingerprint of all 38,612 elements included
+    import hashlib
+    import json
+
+    from ybe.cli import EXIT_OK, main
+    from ybe.fixtures import SOLUTION_SCHEMA
+
+    s = _affine_sd(197, 2)
+    doc = {"schema": SOLUTION_SCHEMA, "n": s.n, "sigma": s.sigma, "tau": s.tau}
+    path = tmp_path / "affine-sd-p197-a2.json"
+    path.write_text(json.dumps(doc))
+    assert main(["quotient", str(path)]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "f22fcac5c0812cbeb48afdd821963f22bb8cd4a0759a5f650117dc1f6dc63dab")
 
 
 def test_left_quandle_quotient_has_the_plain_power_presentation(all_fixture_objects):

@@ -1,5 +1,6 @@
 """Peak traced allocation of input validation, chain periods, the rack
-census and document output at the sizes of the benchmark's table jobs."""
+census and document output at the sizes of the benchmark's table jobs, and
+of a finite quotient's fingerprint."""
 
 import sys
 import tracemalloc
@@ -10,6 +11,7 @@ from ybe.cli import EXIT_OK, json_pieces, main
 from ybe.core import Rack, Solution, chain_periods, verify_solution
 from ybe.derived import cable
 from ybe.fixtures import SOLUTION_SCHEMA
+from ybe.fpgroups import finite_quotient
 
 # A set of the n^2 image pairs of the pair map alone takes about 1.3 MB at
 # n = 128; the two frozen tables take about 0.28 MB.
@@ -69,6 +71,18 @@ def test_chain_periods_peak_on_the_affine_rack_over_z127():
     report, peak = _peak(chain_periods, _affine_rack(p, 3))
     assert sum(report.period_pattern) == p * p
     assert peak < 500_000, peak
+
+
+def test_fingerprint_peak_on_the_affine_quotient_over_z29():
+    # inverting the 29 generators' actions on the 812 elements would take
+    # about 0.7 MB; the list of one left multiplication takes 6.5 kB
+    p, a = 29, 2
+    rk = _affine_rack(p, a)
+    s = Solution(p, (tuple(range(p)),) * p, tuple(rk.rho(y) for y in range(p)))
+    fg, _ = finite_quotient(s)
+    fingerprint, peak = _peak(lambda: fg.fingerprint)
+    assert fingerprint[:2] == (812, (28,))
+    assert peak < 250_000, peak
 
 
 class _CountingSink:
